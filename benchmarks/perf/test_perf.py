@@ -16,7 +16,6 @@ from repro.experiments.perfbench import (
     bench_batched_grid,
     bench_fig16_grid,
     bench_plan_eval,
-    bench_whatif_retime,
     run_perfbench,
     write_bench_report,
 )
@@ -59,17 +58,6 @@ def test_batched_grid_speedup_and_equivalence():
         == grid["lanes"]
 
 
-def test_whatif_retime_is_equivalent():
-    report = bench_whatif_retime(smoke=True, reps=1)
-    assert report["rows"]
-    for row in report["rows"]:
-        # Trend-tracked, not speed-gated: the incremental replay must
-        # agree with the full relaxation and touch less than the plan.
-        assert row["values_match"], (
-            f"incremental retime diverged: {row['max_rel_err']:.2e}")
-        assert 0.0 < row["mean_cone_fraction"] < 1.0
-
-
 def test_serial_run_omits_the_jobs_column():
     # --jobs 1 measures no pooled leg; the key is omitted (never a JSON
     # null) so the committed BENCH ledger stays schema-stable.
@@ -82,7 +70,7 @@ def test_serial_run_omits_the_jobs_column():
 def test_bench_report_schema_and_write(tmp_path):
     report = run_perfbench(smoke=True, jobs=1, reps=1)
     for key in ("meta", "plan_eval", "fig16_grid", "batched_grid",
-                "whatif_retime", "flow_churn"):
+                "flow_churn"):
         assert key in report
     meta = report["meta"]
     for key in ("date", "python", "platform", "repro_version", "smoke"):

@@ -31,8 +31,7 @@ from typing import Optional
 from ..plan.fastpath import _executor_timing, fastpath_schedule
 
 __all__ = ["run_perfbench", "write_bench_report", "bench_plan_eval",
-           "bench_fig16_grid", "bench_batched_grid",
-           "bench_whatif_retime", "bench_flow_churn",
+           "bench_fig16_grid", "bench_batched_grid", "bench_flow_churn",
            "collect_provenance", "BATCH_FACTORS"]
 
 #: (config, variant-name) cells used in smoke mode: the cheap end of the
@@ -266,66 +265,6 @@ def bench_batched_grid(smoke: bool = False,
     }
 
 
-def bench_whatif_retime(smoke: bool = False, reps: int = 3) -> dict:
-    """What-if re-timing: incremental dirty-cone replay vs full replay.
-
-    One representative cell per configuration; every scalable cost
-    bucket is perturbed (factor 0.5) and re-timed both ways.  The two
-    replays are cross-checked at 1e-9 on the predicted makespan; the
-    mean dirty-cone fraction says how much of the plan the incremental
-    path actually touched.  Reported for trend-tracking, not gated —
-    the ratio depends on which buckets a plan exercises.
-    """
-    from ..telemetry.profile import (
-        SCALE_BUCKETS,
-        predict_scaled_timing,
-        retime_incremental,
-    )
-
-    variant = next(v for v in _grid_variants(True)
-                   if v.name == "DDP-FP16")
-    rows = []
-    for config in _grid_configs(smoke):
-        job = _build_job(config, variant, None)
-        plan, ctx = job.step_plan, job._exec_ctx
-        base = fastpath_schedule(plan, ctx)
-
-        full_s = incremental_s = 0.0
-        max_rel_err = 0.0
-        cone_fractions = []
-        for bucket in SCALE_BUCKETS:
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                full = predict_scaled_timing(plan, base, ctx,
-                                             bucket, 0.5)
-            full_s += (time.perf_counter() - t0) / reps
-
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                inc = retime_incremental(plan, base, ctx, bucket, 0.5)
-            incremental_s += (time.perf_counter() - t0) / reps
-
-            cone_fractions.append(inc.cone_fraction)
-            if full.makespan:
-                max_rel_err = max(
-                    max_rel_err,
-                    abs(inc.timing.makespan - full.makespan)
-                    / abs(full.makespan))
-        rows.append({
-            "configuration": config,
-            "variant": variant.name,
-            "buckets": len(SCALE_BUCKETS),
-            "full_s": full_s,
-            "incremental_s": incremental_s,
-            "speedup": full_s / incremental_s if incremental_s else 0.0,
-            "mean_cone_fraction":
-                sum(cone_fractions) / len(cone_fractions),
-            "values_match": max_rel_err <= 1e-9,
-            "max_rel_err": max_rel_err,
-        })
-    return {"rows": rows}
-
-
 class _ChurnSegment:
     """Duck-typed flow segment: just a directed key and a capacity."""
 
@@ -500,7 +439,6 @@ def run_perfbench(smoke: bool = False, jobs: int = 1,
         # Always the full width-16 sweep (the acceptance scale); smoke
         # only trims the cell set.
         "batched_grid": bench_batched_grid(smoke=smoke),
-        "whatif_retime": bench_whatif_retime(smoke=smoke),
         # Always the full 1k flows (the acceptance scale); smoke only
         # trims the churn cycle count.
         "flow_churn": bench_flow_churn(

@@ -8,16 +8,19 @@ rendezvous shape, the same storage queue — only the numeric costs
 This module pays it **once per structure**:
 
 1. **Record.**  One *reference lane* of each structure group runs
-   through :class:`_TapeEngine` — a clone of the scalar fast-path engine
-   that, alongside the reference floats, emits a linear *tape*: one
-   register per event time, one instruction per arithmetic step
-   (``end = max(ready, stream) + dur``, fluid-epoch byte advances,
-   drain horizons), and one *guard* per control decision the schedule
-   took (stream FIFO order, rendezvous join order, storage admission
-   order, fluid event order, drain membership, watchdog margins).
-   Numeric inputs are recorded *symbolically* as column specs
-   ("compute duration of op ``uid``", "transport-inflated flow bytes of
-   pair *(i, j)*") rather than as the reference's values.
+   through the scalar fast-path engine itself,
+   ``_Engine(plan, ctx, tape=...)``, which alongside the reference
+   floats emits a linear *tape*: one register per event time, one
+   instruction per arithmetic step (``end = max(ready, stream) + dur``,
+   fluid-epoch byte advances, drain horizons), and one *guard* per
+   control decision the schedule took (stream FIFO order, rendezvous
+   join order, storage admission order, fluid event order, drain
+   membership, watchdog margins).  Numeric inputs are recorded
+   *symbolically* as column specs ("compute duration of op ``uid``",
+   "transport-inflated flow bytes of pair *(i, j)*") rather than as the
+   reference's values.  The opcodes and column tags are defined next to
+   the engine in :mod:`repro.plan.fastpath`; recording refuses exactly
+   where a scalar run does.
 
 2. **Resolve.**  Every lane resolves the column specs against its own
    plan and context — real ``GPU.kernel_time`` calls, real
@@ -45,36 +48,49 @@ lane against its scalar run at 1e-9 (the debug mode the tests run).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..fabric.flows import _EPSILON_BYTES as _EPS_BYTES
 from ..fabric.flows import _EPSILON_SECONDS as _EPS_SECONDS
-from ..fabric.maxmin import MaxMinSolver
 from .executor import ExecutionContext
 from .fastpath import (
-    _COMM_KIND,
-    _RING,
+    _ADD,
+    _BOUND,
+    _C_COLL,
+    _C_COMPUTE,
+    _C_DELAY_F,
+    _C_DELAY_S,
+    _C_FIXED,
+    _C_IO_BYTES,
+    _C_IO_LAT,
+    _C_OP_BYTES,
+    _COMPUTE,
+    _CONST,
+    _DELAY,
+    _FLOW,
+    _MAX,
+    _ORDER,
+    _RECOMP,
+    _TIMER,
+    _WATCHDOG,
     FastPathUnsupported,
     PlanTiming,
     _assert_equal,
-    _executor_timing,
+    _Engine,
+    _Tape,
+    evaluate_plan,
     fastpath_schedule,
     fastpath_support,
 )
 from .ir import (
-    Barrier,
     Collective,
     Compute,
     D2HCopy,
-    Delay,
     H2DCopy,
     P2PCopy,
-    PlanError,
     StepPlan,
-    StorageRead,
     StorageWrite,
 )
 
@@ -137,607 +153,6 @@ def plan_structure_key(plan: StepPlan, ctx: ExecutionContext) -> tuple:
     return (plan.world_size,
             tuple(_op_structure(op) for op in plan.ops),
             _ctx_structure(ctx))
-
-
-# -- tape representation -----------------------------------------------------
-
-# Instruction opcodes.  The tape is a flat list of tuples; replay
-# dispatches on the leading int.  Registers hold (n_lanes,) float64
-# arrays of event times; REM holds per-flow remaining-bytes arrays.
-_CONST = 0    # (out, value)
-_MAX = 1      # (out, (regs...))
-_COMPUTE = 2  # (out, ready_reg, stream_reg_or_-1, dur_col)
-_ADD = 3      # (out, in_reg, col)
-_DELAY = 4    # (out, in_reg, seconds_col, fraction_col)
-_ORDER = 5    # (a, b, strict)           guard: T[a] < T[b]  (<= if lax)
-_FLOW = 6     # (fidx, size_col)         REM[f] = C[size]
-_BOUND = 7    # (arr_reg, base_reg, ((fidx, rate), ...))
-              # guard: T[arr] <= T[base] + REM[f]/rate for each survivor
-_TIMER = 8    # (out, base_reg, fmin, rate_min, ((fidx, rate), ...))
-              # T[out] = T[base] + REM[fmin]/rate_min;
-              # guard: that horizon is minimal among the active flows
-_RECOMP = 9   # (last_reg, now_reg, ((fidx, rate), ...), (drained fidxs),
-              #  ((survivor fidx, rate), ...))
-              # advance all active flows by dt, then check the drain
-              # membership the reference observed
-_WATCHDOG = 10  # (end_reg, arr_reg, watchdog_seconds)
-
-# Column spec tags (resolved per lane by _resolve_columns).
-_C_COMPUTE = "compute"      # (tag, uid)
-_C_DELAY_S = "delay_s"      # (tag, uid)
-_C_DELAY_F = "delay_f"      # (tag, uid)
-_C_FIXED = "fixed"          # (tag, src_spec, dst_spec)  overhead + latency
-_C_OP_BYTES = "op_bytes"    # (tag, uid, streamed)
-_C_IO_BYTES = "io_bytes"    # (tag, uid, streamed)
-_C_IO_LAT = "io_latency"    # (tag, uid)
-_C_COLL = "coll_flow"       # (tag, uid, n_members, src_spec, dst_spec,
-                            #  streamed)
-
-# Endpoint specs: ("gpu", rank) / ("host",) / ("media",) / ("comm", i)
-# where i indexes Communicator.ranks (a topology node list).
-
-
-@dataclass
-class _Tape:
-    """One structure group's recorded schedule, ready to replay."""
-
-    instrs: list = field(default_factory=list)
-    columns: list = field(default_factory=list)
-    #: uid -> (start_reg, end_reg)
-    op_regs: dict = field(default_factory=dict)
-    #: (flow_index, route_use_index) pairs for rate-invariance checks.
-    flow_routes: list = field(default_factory=list)
-    #: route_use_index -> (src_spec, dst_spec, ref_seg_keys, ref_caps)
-    route_uses: list = field(default_factory=list)
-    #: Rendezvous member uid tuples (per group) whose (bytes, chunk)
-    #: must match lane-wise, mirroring the engine's spec check.
-    group_members: list = field(default_factory=list)
-    n_regs: int = 0
-    n_flows: int = 0
-    #: Lazily-built index-array form of ``instrs`` (see :func:`_compile`).
-    compiled: Optional[list] = None
-
-
-# -- the recording engine ----------------------------------------------------
-
-class _TapeEngine:
-    """The scalar fast-path engine, instrumented to emit a tape.
-
-    This mirrors :class:`repro.plan.fastpath._Engine` method-for-method;
-    every scheduled event carries a *register* alongside its reference
-    float, and every arithmetic step appends the instruction that
-    reproduces it lane-wide.  The reference floats drive the event order
-    (identical to the scalar engine's); the instructions and guards let
-    the replay decide, per lane, whether that order still holds.
-
-    Consistency with ``_Engine`` is enforced by the equivalence tests
-    (and ``assert_equivalence``), which compare replayed lanes against
-    their own scalar runs bit-for-bit at 1e-9.
-    """
-
-    def __init__(self, plan: StepPlan, ctx: ExecutionContext):
-        self.plan = plan
-        self.ctx = ctx
-        self.tape = _Tape()
-        self._heap: list = []
-        self._seq = 0
-        self.times: dict = {}
-        self._start: dict = {}          # uid -> (time, reg)
-        self._indegree: dict = {}
-        self._dependents: dict = {}
-        self._dep_end_regs: dict = {}   # uid -> [end regs of deps]
-        self._stream_free: dict = {}    # rank -> (time, reg)
-        self._last_compute_ready: dict = {}  # rank -> (time, reg)
-        self._op_seq: dict = {}
-        self._groups: dict = {}
-        self._last_join: dict = {}      # (rank, gkey) -> (time, reg)
-        self._io_active = 0
-        self._io_queue: list = []
-        self._last_io_event: Optional[int] = None
-        self._last_io_enqueue: Optional[int] = None
-        self._flows: dict = {}
-        self._flow_ids = 0
-        self._solver = MaxMinSolver()
-        self._last_update = 0.0
-        self._last_update_reg = 0
-        self._generation = 0
-        self._columns: dict = {}        # spec -> column index
-        self._route_uses: dict = {}     # (src_spec, dst_spec) -> index
-        self._zero_reg = 0
-
-    # -- tape emission ----------------------------------------------------
-    def _reg(self) -> int:
-        r = self.tape.n_regs
-        self.tape.n_regs += 1
-        return r
-
-    def _emit(self, *instr) -> None:
-        self.tape.instrs.append(instr)
-
-    def _col(self, *spec) -> int:
-        idx = self._columns.get(spec)
-        if idx is None:
-            idx = self._columns[spec] = len(self.tape.columns)
-            self.tape.columns.append(spec)
-        return idx
-
-    def _route_use(self, src_spec, dst_spec, route) -> int:
-        key = (src_spec, dst_spec)
-        idx = self._route_uses.get(key)
-        if idx is None:
-            idx = self._route_uses[key] = len(self.tape.route_uses)
-            self.tape.route_uses.append(
-                (src_spec, dst_spec,
-                 tuple(seg.key for seg in route.segments),
-                 tuple(seg.capacity for seg in route.segments)))
-        return idx
-
-    # -- event plumbing ---------------------------------------------------
-    def _schedule(self, time: float, reg: int, fn) -> None:
-        self._seq += 1
-        heappush(self._heap, (time, self._seq, reg, fn))
-
-    def run(self) -> _Tape:
-        plan = self.plan
-        zero = self._reg()
-        self._zero_reg = zero
-        self._last_update_reg = zero
-        self._emit(_CONST, zero, 0.0)
-        for op in plan:
-            self._indegree[op.uid] = 0
-            self._dependents.setdefault(op.uid, [])
-            self._dep_end_regs[op.uid] = []
-        for op in plan:
-            for dep in op.deps:
-                if dep not in self._indegree:
-                    raise FastPathUnsupported(
-                        f"op {op.uid!r} depends on {dep!r} outside the plan")
-                self._indegree[op.uid] += 1
-                self._dependents[dep].append(op)
-        for rank in range(plan.world_size):
-            for op in plan.by_rank(rank):
-                if self._indegree[op.uid] == 0:
-                    self._schedule(0.0, zero, self._ready_fn(op))
-        while self._heap:
-            time, _seq, reg, fn = heappop(self._heap)
-            fn(time, reg)
-        if len(self.times) != len(plan.ops):
-            missing = [op.uid for op in plan if op.uid not in self.times]
-            raise FastPathUnsupported(
-                f"plan stalled; {len(missing)} op(s) never completed "
-                f"(first: {missing[0]!r})")
-        return self.tape
-
-    def _ready_fn(self, op):
-        return lambda t, reg: self._op_arrival(op, t, reg)
-
-    def _op_arrival(self, op, t: float, event_reg: int) -> None:
-        # Readiness is the max over dependency ends — commutative, so
-        # no ordering guard is needed; the reference's triggering event
-        # time equals that max by construction.
-        dep_regs = self._dep_end_regs[op.uid]
-        if not dep_regs:
-            reg = self._zero_reg
-        elif len(set(dep_regs)) == 1:
-            reg = dep_regs[0]
-        else:
-            reg = self._reg()
-            self._emit(_MAX, reg, tuple(dict.fromkeys(dep_regs)))
-        self._op_ready(op, t, reg)
-
-    def _op_ready(self, op, t: float, reg: int) -> None:
-        self._start[op.uid] = (t, reg)
-        if isinstance(op, Compute):
-            self._run_compute(op, t, reg)
-        elif isinstance(op, (Collective, Barrier)):
-            self._join_group(op, t, reg)
-        elif isinstance(op, Delay):
-            elapsed = t - 0.0
-            end = t + (op.seconds + op.elapsed_fraction * elapsed)
-            out = self._reg()
-            self._emit(_DELAY, out, reg,
-                       self._col(_C_DELAY_S, op.uid),
-                       self._col(_C_DELAY_F, op.uid))
-            self._finish_at(op, end, out)
-        elif isinstance(op, (H2DCopy, D2HCopy, P2PCopy)):
-            self._run_transfer(op, t, reg)
-        elif isinstance(op, (StorageRead, StorageWrite)):
-            self._enqueue_io(op, t, reg)
-        else:  # pragma: no cover - taxonomy is closed
-            raise PlanError(f"fast path cannot run op kind {op.kind!r}")
-
-    def _finish_at(self, op, end: float, reg: int) -> None:
-        self._schedule(end, reg, lambda t, r: self._op_done(op, t, r))
-
-    def _op_done(self, op, t: float, reg: int) -> None:
-        start_t, start_reg = self._start[op.uid]
-        self.times[op.uid] = (start_t, t)
-        self.tape.op_regs[op.uid] = (start_reg, reg)
-        for dependent in self._dependents[op.uid]:
-            self._dep_end_regs[dependent.uid].append(reg)
-            self._indegree[dependent.uid] -= 1
-            if self._indegree[dependent.uid] == 0:
-                self._schedule(t, reg, self._ready_fn(dependent))
-
-    # -- compute -----------------------------------------------------------
-    def _run_compute(self, op, t: float, reg: int) -> None:
-        rank = op.rank
-        last = self._last_compute_ready.get(rank)
-        if last is not None:
-            if last[0] == t:
-                raise FastPathUnsupported(
-                    f"two computes ready on rank {rank} at t={t}: "
-                    "stream FIFO order is ambiguous")
-            # Guard: the lane's FIFO admits this rank's computes in the
-            # reference order, with no tie (the scalar engine refuses
-            # ties, so a tying lane must fall back too — hence strict).
-            self._emit(_ORDER, last[1], reg, True)
-        self._last_compute_ready[rank] = (t, reg)
-        factor = self.ctx.jitter() if op.jittered else 1.0
-        duration = self.ctx.gpus[rank].kernel_time(
-            op.flops * factor, op.hbm_bytes, op.precision, op.efficiency)
-        stream = self._stream_free.get(rank)
-        begin = max(t, stream[0]) if stream is not None else max(t, 0.0)
-        end = begin + duration
-        out = self._reg()
-        self._emit(_COMPUTE, out, reg,
-                   stream[1] if stream is not None else -1,
-                   self._col(_C_COMPUTE, op.uid))
-        self._stream_free[rank] = (end, out)
-        self._finish_at(op, end, out)
-
-    # -- rendezvous --------------------------------------------------------
-    def _join_group(self, op, t: float, reg: int) -> None:
-        comm = self.ctx.comm
-        rank = op.rank
-        gkey = getattr(op, "group", None)
-        last = self._last_join.get((rank, gkey))
-        if last is not None:
-            if last[0] == t:
-                raise FastPathUnsupported(
-                    f"rank {rank} joins two collectives at t={t}: "
-                    "rendezvous order is ambiguous")
-            self._emit(_ORDER, last[1], reg, True)
-        self._last_join[(rank, gkey)] = (t, reg)
-        members = list(range(self.plan.world_size)) if gkey is None \
-            else list(gkey)
-        nodes = [comm.ranks[i] for i in members]
-        if isinstance(op, Barrier):
-            spec = ("barrier", 0.0, None, None)
-        else:
-            kind = _COMM_KIND.get(op.comm)
-            if kind is None:
-                raise FastPathUnsupported(
-                    f"unknown collective kind {op.comm!r}")
-            if kind in ("broadcast", "reduce"):
-                root = members.index(op.root) if op.root is not None else 0
-            else:
-                root = None
-            spec = (kind, op.bytes, root, op.chunk_bytes)
-        opid = self._op_seq.get((gkey, rank), 0)
-        self._op_seq[(gkey, rank)] = opid + 1
-        group = self._groups.get((gkey, opid))
-        if group is None:
-            group = self._groups[(gkey, opid)] = _TapeGroup(
-                spec[0], spec[1], spec[2], spec[3], nodes, members)
-        elif (group.kind, group.nbytes, group.root, group.chunk) != spec:
-            raise FastPathUnsupported(
-                f"collective mismatch at op {opid}: rank {rank} called "
-                f"{spec} but op is "
-                f"{(group.kind, group.nbytes, group.root, group.chunk)}")
-        group.arrived[rank] = (t, reg)
-        group.uids[rank] = op.uid
-        if len(group.arrived) == len(members):
-            del self._groups[(gkey, opid)]
-            # Lane-wise the engine's spec check demands every member op
-            # carry the same (bytes, chunk); record the membership so
-            # column resolution can verify it per lane.
-            self.tape.group_members.append(tuple(group.uids.values()))
-            self._execute_group(group, t)
-
-    def _execute_group(self, group: "_TapeGroup", t: float) -> None:
-        world = len(group.nodes)
-        live = self._reg()
-        self._emit(_MAX, live,
-                   tuple(dict.fromkeys(r for _t, r in
-                                       group.arrived.values())))
-        if world == 1 or group.kind == "barrier" or group.nbytes == 0:
-            self._schedule(
-                t, live, lambda now, r: self._group_done(group, now, r))
-            return
-        phases = _RING.get(group.kind)
-        group.total_phases = phases(world) if phases else 1
-        group.phase = 0
-        self._spawn_phase(group, t, live)
-
-    def _spawn_phase(self, group: "_TapeGroup", t: float,
-                     reg: int) -> None:
-        comm = self.ctx.comm
-        ranks = group.nodes
-        n = len(ranks)
-        if group.kind in _RING:
-            pairs = [(i, (i + 1) % n) for i in range(n)]
-            per_transfer = group.nbytes / n
-        else:
-            root = group.root
-            others = [i for i in range(n) if i != root]
-            if group.kind == "broadcast":
-                pairs = [(root, i) for i in others]
-            else:  # reduce
-                pairs = [(i, root) for i in others]
-            per_transfer = group.nbytes
-        group.inflight = len(pairs)
-        group.done_regs = []
-        uid = next(iter(group.uids.values()))
-
-        def flow_done(now, done_reg, group=group):
-            group.done_regs.append(done_reg)
-            group.inflight -= 1
-            if group.inflight:
-                return
-            # Lane-wise the slowest pair may differ; the phase ends at
-            # the max over every pair's completion (commutative).
-            end = self._reg()
-            self._emit(_MAX, end, tuple(dict.fromkeys(group.done_regs)))
-            group.phase += 1
-            if group.phase >= group.total_phases:
-                self._group_done(group, now, end)
-            else:
-                self._spawn_phase(group, now, end)
-
-        topo = comm.topology
-        for i, j in pairs:
-            src, dst = ranks[i], ranks[j]
-            src_spec = ("comm", group.members[i])
-            dst_spec = ("comm", group.members[j])
-            route = topo.route(src, dst)
-            factor = comm._transport_factor(route, group.chunk)
-            nbytes = per_transfer * factor
-            streamed = nbytes > _EPS_BYTES and bool(route.segments)
-            col = self._col(_C_COLL, uid, n, src_spec, dst_spec, streamed)
-            self._launch_transfer(t, reg, route, nbytes, col,
-                                  (src_spec, dst_spec), flow_done)
-
-    def _group_done(self, group: "_TapeGroup", t: float,
-                    reg: int) -> None:
-        watchdog = getattr(self.ctx.comm, "watchdog", None)
-        for rank, uid in group.uids.items():
-            arrival_t, arrival_reg = group.arrived[rank]
-            if watchdog is not None:
-                if t - arrival_t >= watchdog:
-                    raise FastPathUnsupported(
-                        "collective completion races the watchdog timeout")
-                self._emit(_WATCHDOG, reg, arrival_reg, watchdog)
-            op = self.plan.op(uid)
-            self._start[uid] = (arrival_t, arrival_reg)
-            self._op_done(op, t, reg)
-
-    # -- transfers ---------------------------------------------------------
-    def _launch_transfer(self, t: float, reg: int, route, nbytes: float,
-                         size_col: Optional[int], endpoints,
-                         on_done) -> None:
-        topo = self.ctx.topology
-        fixed = topo.transfer_overhead + route.latency
-        arrival = t + fixed
-        arr = self._reg()
-        self._emit(_ADD, arr, reg, self._col(_C_FIXED, *endpoints))
-        segments = route.segments
-        if nbytes > 0 and segments:
-            use = self._route_use(endpoints[0], endpoints[1], route)
-            self._schedule(
-                arrival, arr,
-                lambda now, r: self._flow_arrives(
-                    segments, nbytes, size_col, use, on_done, now, r))
-        else:
-            self._schedule(arrival, arr, on_done)
-
-    def _run_transfer(self, op, t: float, reg: int) -> None:
-        ctx = self.ctx
-        gpus = ctx.gpus
-        if isinstance(op, H2DCopy):
-            src, dst = ctx.host_node, gpus[op.rank].name
-            spec = (("host",), ("gpu", op.rank))
-        elif isinstance(op, D2HCopy):
-            src, dst = gpus[op.rank].name, ctx.host_node
-            spec = (("gpu", op.rank), ("host",))
-        else:
-            src, dst = gpus[op.rank].name, gpus[op.dst_rank].name
-            spec = (("gpu", op.rank), ("gpu", op.dst_rank))
-        route = ctx.topology.route(src, dst)
-        streamed = op.bytes > _EPS_BYTES and bool(route.segments)
-        col = self._col(_C_OP_BYTES, op.uid, streamed)
-        self._launch_transfer(
-            t, reg, route, op.bytes, col, spec,
-            lambda now, r: self._op_done(op, now, r))
-
-    # -- storage I/O -------------------------------------------------------
-    def _io_event(self, reg: int, enqueue: bool) -> None:
-        # Admission control is order-driven: guard the whole interleaved
-        # sequence of storage events non-strictly (a completion landing
-        # on an enqueue's instant commutes — the op is admitted at that
-        # instant either way), and additionally keep consecutive
-        # *enqueues* strictly ordered: two commands racing for the same
-        # queue slot is exactly the ambiguity the scalar engine refuses.
-        last = self._last_io_event
-        if last is not None and last != reg:
-            self._emit(_ORDER, last, reg, False)
-        self._last_io_event = reg
-        if enqueue:
-            prev = self._last_io_enqueue
-            if prev is not None:
-                self._emit(_ORDER, prev, reg, True)
-            self._last_io_enqueue = reg
-
-    def _enqueue_io(self, op, t: float, reg: int) -> None:
-        self._io_event(reg, True)
-        if self._io_active < self.ctx.storage.spec.queue_depth:
-            self._io_active += 1
-            self._admit_io(op, t, reg)
-        else:
-            self._io_queue.append(op)
-
-    def _admit_io(self, op, t: float, reg: int) -> None:
-        storage = self.ctx.storage
-        spec = storage.spec
-        if isinstance(op, StorageRead):
-            src, dst = storage.media_node, self.ctx.host_node
-            endpoints = (("media",), ("host",))
-            nbytes, latency = op.bytes, spec.read_latency
-        else:
-            inflation = spec.read_bandwidth / spec.write_bandwidth
-            src, dst = self.ctx.host_node, storage.media_node
-            endpoints = (("host",), ("media",))
-            nbytes, latency = op.bytes * inflation, spec.write_latency
-        route = self.ctx.topology.route(src, dst)
-        streamed = nbytes > _EPS_BYTES and bool(route.segments)
-        size_col = self._col(_C_IO_BYTES, op.uid, streamed)
-        launched = self._reg()
-        self._emit(_ADD, launched, reg, self._col(_C_IO_LAT, op.uid))
-
-        def done(now, done_reg):
-            self._io_event(done_reg, False)
-            self._io_active -= 1
-            if self._io_queue:
-                self._io_active += 1
-                self._admit_io(self._io_queue.pop(0), now, done_reg)
-            self._op_done(op, now, done_reg)
-
-        self._launch_transfer(t + latency, launched, route, nbytes,
-                              size_col, endpoints, done)
-
-    # -- the global fluid timeline ----------------------------------------
-    def _flow_arrives(self, segments, nbytes: float, size_col: int,
-                      route_use: int, on_done, now: float,
-                      reg: int) -> None:
-        if nbytes <= _EPS_BYTES or not segments:
-            self._schedule(now, reg, on_done)
-            return
-        # The arrival must land inside the current fluid epoch: after
-        # the previous fluid event, and before any active flow would
-        # have drained (otherwise the lane's rate history differs).
-        self._emit(_ORDER, self._last_update_reg, reg, False)
-        if self._flows:
-            self._emit(_BOUND, reg, self._last_update_reg,
-                       tuple((fid, f.rate)
-                             for fid, f in self._flows.items()))
-        flow = _TapeFlow(segments, nbytes, on_done)
-        self._advance_and_recompute(now, reg, add=flow,
-                                    size_col=size_col,
-                                    route_use=route_use)
-
-    def _advance_and_recompute(self, now: float, reg: int, add=None,
-                               size_col: Optional[int] = None,
-                               route_use: Optional[int] = None) -> None:
-        """Mirror ``_advance`` + ``_recompute`` and emit one _RECOMP."""
-        active = tuple((fid, f.rate) for fid, f in self._flows.items())
-        # advance (the scalar engine skips dt <= 0; the instruction
-        # handles per-lane dt uniformly, including dt == 0)
-        dt = now - self._last_update
-        if dt > 0:
-            for f in self._flows.values():
-                delivered = min(f.remaining, f.rate * dt)
-                if delivered > 0:
-                    f.remaining -= delivered
-        if add is not None:
-            self._flow_ids += 1
-            fid = self._flow_ids
-            self.tape.n_flows = self._flow_ids
-            add.fid = fid
-            self._flows[fid] = add
-            self._solver.add(add)
-            self.tape.flow_routes.append((fid, route_use))
-            self._emit(_FLOW, fid, size_col)
-        drained = [fid for fid, f in self._flows.items()
-                   if _is_drained(f)]
-        survivors = tuple((fid, f.rate) for fid, f in self._flows.items()
-                          if fid not in drained)
-        self._emit(_RECOMP, self._last_update_reg, reg, active,
-                   tuple(drained), survivors)
-        self._last_update = now
-        self._last_update_reg = reg
-        for fid in drained:
-            flow = self._flows.pop(fid)
-            self._solver.remove(flow)
-            self._schedule(now, reg, flow.on_done)
-        self._solver.solve()
-        self._arm_timer(now, reg)
-
-    def _arm_timer(self, now: float, reg: int) -> None:
-        self._generation += 1
-        if not self._flows:
-            return
-        gen = self._generation
-        horizon = min(f.remaining / f.rate for f in self._flows.values()
-                      if f.rate > 0)
-        self._schedule(now + horizon, reg,
-                       lambda t, r, gen=gen: self._on_timer(t, gen))
-
-    def _on_timer(self, now: float, generation: int) -> None:
-        if generation != self._generation:
-            return  # superseded by a later recompute; never on the tape
-        # A fired timer directly follows the fluid event that armed it
-        # (anything in between would have bumped the generation), so
-        # the flow state here *is* the arming state: the horizon to
-        # replay is the argmin flow's remaining/rate, guarded minimal
-        # against every other active flow's horizon lane-wise.
-        out = self._reg()
-        fmin, rmin, best = None, 0.0, None
-        others = []
-        for fid, f in self._flows.items():
-            if f.rate <= 0:
-                continue
-            h = f.remaining / f.rate
-            if best is None or h < best:
-                if fmin is not None:
-                    others.append((fmin, rmin))
-                fmin, rmin, best = fid, f.rate, h
-            else:
-                others.append((fid, f.rate))
-        self._emit(_TIMER, out, self._last_update_reg, fmin, rmin,
-                   tuple(others))
-        self._advance_and_recompute(now, out)
-
-
-class _TapeFlow:
-    """Duck-typed flow for the solver, plus its tape identity."""
-
-    __slots__ = ("segments", "remaining", "rate", "on_done", "fid")
-
-    def __init__(self, segments, nbytes: float, on_done):
-        self.segments = segments
-        self.remaining = float(nbytes)
-        self.rate = 0.0
-        self.on_done = on_done
-        self.fid = -1
-
-
-def _is_drained(flow) -> bool:
-    if flow.remaining <= _EPS_BYTES:
-        return True
-    return flow.rate > 0 and flow.remaining / flow.rate <= _EPS_SECONDS
-
-
-class _TapeGroup:
-    """Rendezvous state for the recorder (mirror of fastpath._Group)."""
-
-    __slots__ = ("kind", "nbytes", "root", "chunk", "nodes", "members",
-                 "arrived", "uids", "phase", "total_phases", "inflight",
-                 "done_regs")
-
-    def __init__(self, kind, nbytes, root, chunk, nodes, members):
-        self.kind = kind
-        self.nbytes = nbytes
-        self.root = root
-        self.chunk = chunk
-        self.nodes = nodes
-        #: World-rank indices, in communicator order (endpoint specs).
-        self.members = members
-        self.arrived = {}
-        self.uids = {}
-        self.phase = 0
-        self.total_phases = 0
-        self.inflight = 0
-        self.done_regs = []
 
 
 # -- column resolution -------------------------------------------------------
@@ -1108,18 +523,20 @@ class BatchResult:
     diverged: list = field(default_factory=list)
 
 
-def _fallback(plan: StepPlan, ctx: ExecutionContext,
-              mode: str) -> PlanTiming:
-    if mode == "fastpath":
-        return fastpath_schedule(plan, ctx)
-    if mode == "executor":
-        return _executor_timing(plan, ctx)
-    if mode == "auto":
-        try:
-            return fastpath_schedule(plan, ctx)
-        except FastPathUnsupported:
-            return _executor_timing(plan, ctx)
-    raise ValueError(f"unknown fallback mode {mode!r}")
+def _record(plan: StepPlan, ctx: ExecutionContext) -> _Tape:
+    """Record ``plan``'s tape by running the scalar engine on it.
+
+    Refuses exactly where :func:`~repro.plan.fastpath.fastpath_schedule`
+    does, with the same message.  The run's own timing is discarded: the
+    reference lane's result comes from the replay, like every other
+    lane's.
+    """
+    reason = fastpath_support(plan, ctx)
+    if reason is not None:
+        raise FastPathUnsupported(reason)
+    tape = _Tape()
+    _Engine(plan, ctx, tape=tape).run()
+    return tape
 
 
 def _lane_timing(tape: _Tape, T, lane: int) -> PlanTiming:
@@ -1184,7 +601,7 @@ def evaluate_batch(lanes: Sequence[tuple],
         ref_idx = members[0]
         ref_plan, ref_ctx = lanes[ref_idx]
         try:
-            tape = _TapeEngine(ref_plan, ref_ctx).run()
+            tape = _record(ref_plan, ref_ctx)
         except FastPathUnsupported:
             # The reference schedule itself is ambiguous; every lane
             # takes the scalar path (which applies its own refusals).
@@ -1219,7 +636,7 @@ def evaluate_batch(lanes: Sequence[tuple],
 
     for idx in fallback_idx:
         plan, ctx = lanes[idx]
-        timings[idx] = _fallback(plan, ctx, fallback)
+        timings[idx] = evaluate_plan(plan, ctx, mode=fallback)
     return BatchResult(timings=timings, groups=len(groups),
                        batched_lanes=batched,
                        fallback_lanes=len(fallback_idx),

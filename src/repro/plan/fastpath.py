@@ -40,6 +40,15 @@ The fast path is *pure*: it reads device specs, routes, and penalty
 tables but mutates no device state, link counter, or communicator
 sequence number, so it can be invoked any number of times on a live
 system without perturbing it.
+
+Recording
+---------
+Given a :class:`_Tape`, the same engine also records its schedule as an
+array program: one register per event time, one instruction per
+arithmetic step, one guard per control decision.
+:mod:`repro.plan.batched` replays that tape over many structurally
+identical lanes at once, so the batched evaluator's tape comes from the
+engine its lanes must match.
 """
 
 from __future__ import annotations
@@ -158,6 +167,97 @@ def fastpath_support(plan: StepPlan, ctx: ExecutionContext
     return None
 
 
+# -- tape recording ----------------------------------------------------------
+#
+# With a :class:`_Tape` attached, the engine records its schedule as a
+# linear program that :mod:`repro.plan.batched` replays over many lanes.
+# Every scheduled event carries a *register* (the tape slot holding that
+# event's time, lane-wise) alongside its float; register 0 is t = 0.
+
+# Instruction opcodes.  The tape is a flat list of tuples; replay
+# dispatches on the leading int.  Registers hold (n_lanes,) float64
+# arrays of event times; REM holds per-flow remaining-bytes arrays.
+_CONST = 0    # (out, value)
+_MAX = 1      # (out, (regs...))
+_COMPUTE = 2  # (out, ready_reg, stream_reg_or_-1, dur_col)
+_ADD = 3      # (out, in_reg, col)
+_DELAY = 4    # (out, in_reg, seconds_col, fraction_col)
+_ORDER = 5    # (a, b, strict)           guard: T[a] < T[b]  (<= if lax)
+_FLOW = 6     # (fidx, size_col)         REM[f] = C[size]
+_BOUND = 7    # (arr_reg, base_reg, ((fidx, rate), ...))
+              # guard: T[arr] <= T[base] + REM[f]/rate for each survivor
+_TIMER = 8    # (out, base_reg, fmin, rate_min, ((fidx, rate), ...))
+              # T[out] = T[base] + REM[fmin]/rate_min;
+              # guard: that horizon is minimal among the active flows
+_RECOMP = 9   # (last_reg, now_reg, ((fidx, rate), ...), (drained fidxs),
+              #  ((survivor fidx, rate), ...))
+              # advance all active flows by dt, then check the drain
+              # membership the reference observed
+_WATCHDOG = 10  # (end_reg, arr_reg, watchdog_seconds)
+
+# Column spec tags (resolved per lane by batched._LaneResolver).
+_C_COMPUTE = "compute"      # (tag, uid)
+_C_DELAY_S = "delay_s"      # (tag, uid)
+_C_DELAY_F = "delay_f"      # (tag, uid)
+_C_FIXED = "fixed"          # (tag, src_spec, dst_spec)  overhead + latency
+_C_OP_BYTES = "op_bytes"    # (tag, uid, streamed)
+_C_IO_BYTES = "io_bytes"    # (tag, uid, streamed)
+_C_IO_LAT = "io_latency"    # (tag, uid)
+_C_COLL = "coll_flow"       # (tag, uid, n_members, src_spec, dst_spec,
+                            #  streamed)
+
+# Endpoint specs: ("gpu", rank) / ("host",) / ("media",) / ("comm", i)
+# where i indexes Communicator.ranks (a topology node list).
+
+
+@dataclass
+class _Tape:
+    """One structure group's recorded schedule, ready to replay."""
+
+    instrs: list = field(default_factory=list)
+    columns: list = field(default_factory=list)
+    #: uid -> (start_reg, end_reg)
+    op_regs: dict = field(default_factory=dict)
+    #: (flow_index, route_use_index) pairs for rate-invariance checks.
+    flow_routes: list = field(default_factory=list)
+    #: route_use_index -> (src_spec, dst_spec, ref_seg_keys, ref_caps)
+    route_uses: list = field(default_factory=list)
+    #: Rendezvous member uid tuples (per group) whose (bytes, chunk)
+    #: must match lane-wise, mirroring the engine's spec check.
+    group_members: list = field(default_factory=list)
+    n_regs: int = 0
+    n_flows: int = 0
+    #: Lazily-built index-array form of ``instrs`` (see batched._compile).
+    compiled: Optional[list] = None
+    _col_index: dict = field(default_factory=dict, repr=False)
+    _route_index: dict = field(default_factory=dict, repr=False)
+
+    def reg(self) -> int:
+        self.n_regs += 1
+        return self.n_regs - 1
+
+    def emit(self, *instr) -> None:
+        self.instrs.append(instr)
+
+    def col(self, *spec) -> int:
+        idx = self._col_index.get(spec)
+        if idx is None:
+            idx = self._col_index[spec] = len(self.columns)
+            self.columns.append(spec)
+        return idx
+
+    def route_use(self, src_spec, dst_spec, route) -> int:
+        key = (src_spec, dst_spec)
+        idx = self._route_index.get(key)
+        if idx is None:
+            idx = self._route_index[key] = len(self.route_uses)
+            self.route_uses.append(
+                (src_spec, dst_spec,
+                 tuple(seg.key for seg in route.segments),
+                 tuple(seg.capacity for seg in route.segments)))
+        return idx
+
+
 # -- the engine --------------------------------------------------------------
 
 class _Flow:
@@ -176,9 +276,10 @@ class _Group:
     """One rendezvoused collective/barrier across its communicator."""
 
     __slots__ = ("kind", "nbytes", "root", "chunk", "arrived", "uids",
-                 "phase", "total_phases", "inflight", "nodes")
+                 "phase", "total_phases", "inflight", "nodes", "members",
+                 "regs", "done_regs")
 
-    def __init__(self, kind, nbytes, root, chunk, nodes):
+    def __init__(self, kind, nbytes, root, chunk, nodes, members):
         self.kind = kind
         self.nbytes = nbytes
         #: Communicator-local root index (grouped ops translate).
@@ -186,19 +287,34 @@ class _Group:
         self.chunk = chunk
         #: Participating topology node names, in communicator order.
         self.nodes = nodes
+        #: Their world-rank indices, in the same order.
+        self.members = members
         self.arrived = {}       # world rank -> join time
         self.uids = {}          # world rank -> op uid
+        self.regs = {}          # world rank -> join register
+        self.done_regs = []     # this phase's flow-completion registers
         self.phase = 0
         self.total_phases = 0
         self.inflight = 0
 
 
 class _Engine:
-    """Specialized scheduler replaying a plan's exact DES timeline."""
+    """Specialized scheduler replaying a plan's exact DES timeline.
 
-    def __init__(self, plan: StepPlan, ctx: ExecutionContext):
+    With a ``tape``, the run also records the instructions that
+    reproduce each arithmetic step lane-wide and one *guard* per control
+    decision it took (stream FIFO order, rendezvous join order, storage
+    admission order, fluid event order, drain membership, watchdog
+    margins).  Numeric inputs are recorded as column specs ("compute
+    duration of op ``uid``") rather than as this run's values.  Without
+    a tape every recording branch is skipped and registers stay 0.
+    """
+
+    def __init__(self, plan: StepPlan, ctx: ExecutionContext,
+                 tape: Optional[_Tape] = None):
         self.plan = plan
         self.ctx = ctx
+        self.tape = tape
         self._heap: list = []
         self._seq = 0
         self.times: dict = {}
@@ -224,14 +340,25 @@ class _Engine:
         self._solver = MaxMinSolver()
         self._last_update = 0.0
         self._generation = 0
+        # Recording only: the registers behind the state above.
+        self._dep_end_regs: dict = {}       # uid -> [end regs of deps]
+        self._start_regs: dict = {}         # uid -> start reg
+        self._stream_regs: dict = {}        # rank -> stream cursor reg
+        self._compute_regs: dict = {}       # rank -> last ready reg
+        self._join_regs: dict = {}          # (rank, gkey) -> last join reg
+        self._io_event_reg: Optional[int] = None
+        self._io_enqueue_reg: Optional[int] = None
+        self._update_reg = 0                # reg of the last fluid event
 
     # -- event plumbing ---------------------------------------------------
-    def _schedule(self, time: float, fn) -> None:
+    def _schedule(self, time: float, reg: int, fn) -> None:
         self._seq += 1
-        heappush(self._heap, (time, self._seq, fn))
+        heappush(self._heap, (time, self._seq, reg, fn))
 
     def run(self) -> PlanTiming:
-        plan, ctx = self.plan, self.ctx
+        plan = self.plan
+        if self.tape is not None:
+            self.tape.emit(_CONST, self.tape.reg(), 0.0)
         for op in plan:
             self._indegree[op.uid] = 0
             self._dependents.setdefault(op.uid, [])
@@ -248,10 +375,10 @@ class _Engine:
         for rank in range(plan.world_size):
             for op in plan.by_rank(rank):
                 if self._indegree[op.uid] == 0:
-                    self._schedule(0.0, self._ready_fn(op))
+                    self._schedule(0.0, 0, self._ready_fn(op))
         while self._heap:
-            time, _seq, fn = heappop(self._heap)
-            fn(time)
+            time, _seq, reg, fn = heappop(self._heap)
+            fn(time, reg)
         if len(self.times) != len(plan.ops):
             missing = [op.uid for op in plan if op.uid not in self.times]
             raise FastPathUnsupported(
@@ -263,40 +390,62 @@ class _Engine:
                           makespan=makespan)
 
     def _ready_fn(self, op):
-        return lambda t: self._op_ready(op, t)
+        return lambda t, reg: self._op_ready(op, t, reg)
 
     # -- op lifecycle ------------------------------------------------------
-    def _op_ready(self, op, t: float) -> None:
+    def _op_ready(self, op, t: float, reg: int) -> None:
         self._start[op.uid] = t
+        tape = self.tape
+        if tape is not None:
+            # Readiness is the max over dependency ends — commutative,
+            # so no ordering guard is needed; the triggering event's
+            # time equals that max by construction.
+            regs = tuple(dict.fromkeys(self._dep_end_regs.get(op.uid, ())))
+            if len(regs) > 1:
+                reg = tape.reg()
+                tape.emit(_MAX, reg, regs)
+            else:
+                reg = regs[0] if regs else 0
+            self._start_regs[op.uid] = reg
         if isinstance(op, Compute):
-            self._run_compute(op, t)
+            self._run_compute(op, t, reg)
         elif isinstance(op, (Collective, Barrier)):
-            self._join_group(op, t)
+            self._join_group(op, t, reg)
         elif isinstance(op, Delay):
             elapsed = t - 0.0
+            if tape is not None:
+                out = tape.reg()
+                tape.emit(_DELAY, out, reg, tape.col(_C_DELAY_S, op.uid),
+                          tape.col(_C_DELAY_F, op.uid))
+                reg = out
             self._finish_at(
-                op, t + (op.seconds + op.elapsed_fraction * elapsed))
+                op, t + (op.seconds + op.elapsed_fraction * elapsed), reg)
         elif isinstance(op, (H2DCopy, D2HCopy, P2PCopy)):
-            self._run_transfer(op, t)
+            self._run_transfer(op, t, reg)
         elif isinstance(op, (StorageRead, StorageWrite)):
-            self._enqueue_io(op, t)
+            self._enqueue_io(op, t, reg)
         else:  # pragma: no cover - taxonomy is closed
             raise PlanError(f"fast path cannot run op kind {op.kind!r}")
 
-    def _finish_at(self, op, end: float) -> None:
-        self._schedule(end, lambda t: self._op_done(op, t))
+    def _finish_at(self, op, end: float, reg: int) -> None:
+        self._schedule(end, reg, lambda t, r: self._op_done(op, t, r))
 
-    def _op_done(self, op, t: float) -> None:
+    def _op_done(self, op, t: float, reg: int) -> None:
         self.times[op.uid] = (self._start[op.uid], t)
+        if self.tape is not None:
+            self.tape.op_regs[op.uid] = (self._start_regs[op.uid], reg)
+            for dependent in self._dependents[op.uid]:
+                self._dep_end_regs.setdefault(dependent.uid, []).append(reg)
         for dependent in self._dependents[op.uid]:
             self._indegree[dependent.uid] -= 1
             if self._indegree[dependent.uid] == 0:
-                self._schedule(t, self._ready_fn(dependent))
+                self._schedule(t, reg, self._ready_fn(dependent))
 
     # -- compute -----------------------------------------------------------
-    def _run_compute(self, op, t: float) -> None:
+    def _run_compute(self, op, t: float, reg: int) -> None:
         rank = op.rank
-        if self._last_compute_ready.get(rank) == t:
+        last = self._last_compute_ready.get(rank)
+        if last == t:
             raise FastPathUnsupported(
                 f"two computes ready on rank {rank} at t={t}: "
                 "stream FIFO order is ambiguous")
@@ -307,21 +456,39 @@ class _Engine:
         begin = max(t, self._stream_free.get(rank, 0.0))
         end = begin + duration
         self._stream_free[rank] = end
-        self._finish_at(op, end)
+        tape = self.tape
+        if tape is not None:
+            # Guard: the lane's FIFO admits this rank's computes in the
+            # reference order, with no tie (the engine refuses ties, so
+            # a tying lane must fall back too — hence strict).
+            if last is not None:
+                tape.emit(_ORDER, self._compute_regs[rank], reg, True)
+            self._compute_regs[rank] = reg
+            out = tape.reg()
+            tape.emit(_COMPUTE, out, reg, self._stream_regs.get(rank, -1),
+                      tape.col(_C_COMPUTE, op.uid))
+            self._stream_regs[rank] = reg = out
+        self._finish_at(op, end, reg)
 
     # -- rendezvous (Communicator._join mirror) ----------------------------
-    def _join_group(self, op, t: float) -> None:
+    def _join_group(self, op, t: float, reg: int) -> None:
         comm = self.ctx.comm
         rank = op.rank
         # Grouped collectives rendezvous on their own sub-communicator:
         # state is keyed by the group tuple (None = world), mirroring
         # Communicator.subgroup's per-child sequence numbers.
         gkey = getattr(op, "group", None)
-        if self._last_join.get((rank, gkey)) == t:
+        last = self._last_join.get((rank, gkey))
+        if last == t:
             raise FastPathUnsupported(
                 f"rank {rank} joins two collectives at t={t}: "
                 "rendezvous order is ambiguous")
         self._last_join[(rank, gkey)] = t
+        tape = self.tape
+        if tape is not None:
+            if last is not None:
+                tape.emit(_ORDER, self._join_regs[(rank, gkey)], reg, True)
+            self._join_regs[(rank, gkey)] = reg
         members = list(range(self.plan.world_size)) if gkey is None \
             else list(gkey)
         nodes = [comm.ranks[i] for i in members]
@@ -343,105 +510,183 @@ class _Engine:
         self._op_seq[(gkey, rank)] = opid + 1
         group = self._groups.get((gkey, opid))
         if group is None:
-            group = self._groups[(gkey, opid)] = _Group(*spec, nodes)
+            group = self._groups[(gkey, opid)] = _Group(*spec, nodes,
+                                                        members)
         elif (group.kind, group.nbytes, group.root, group.chunk) != spec:
             raise FastPathUnsupported(
                 f"collective mismatch at op {opid}: rank {rank} called "
                 f"{spec} but op is {(group.kind, group.nbytes, group.root, group.chunk)}")
         group.arrived[rank] = t
         group.uids[rank] = op.uid
+        group.regs[rank] = reg
         if len(group.arrived) == len(members):
             del self._groups[(gkey, opid)]
-            self._execute_group(group, t)
+            if tape is not None:
+                # Lane-wise the spec check above demands every member
+                # op carry the same (bytes, chunk); record the
+                # membership so column resolution can verify it.
+                tape.group_members.append(tuple(group.uids.values()))
+            self._execute_group(group, t, reg)
 
-    def _execute_group(self, group: _Group, t: float) -> None:
+    def _execute_group(self, group: _Group, t: float, reg: int) -> None:
+        tape = self.tape
+        if tape is not None:
+            # The group goes live at its last member's arrival.
+            reg = tape.reg()
+            tape.emit(_MAX, reg, tuple(dict.fromkeys(group.regs.values())))
         world = len(group.nodes)
         if world == 1 or group.kind == "barrier" or group.nbytes == 0:
-            self._schedule(t, lambda now: self._group_done(group, now))
+            self._schedule(t, reg,
+                           lambda now, r: self._group_done(group, now, r))
             return
         phases = _RING.get(group.kind)
         group.total_phases = phases(world) if phases else 1
         group.phase = 0
-        self._spawn_phase(group, t)
+        self._spawn_phase(group, t, reg)
 
-    def _spawn_phase(self, group: _Group, t: float) -> None:
+    def _spawn_phase(self, group: _Group, t: float, reg: int) -> None:
         comm = self.ctx.comm
         ranks = group.nodes
         n = len(ranks)
         if group.kind in _RING:
             per_transfer = group.nbytes / n
-            pairs = [(ranks[i], ranks[(i + 1) % n]) for i in range(n)]
+            pairs = [(i, (i + 1) % n) for i in range(n)]
         else:
             per_transfer = group.nbytes
             root = group.root
             others = [i for i in range(n) if i != root]
             if group.kind == "broadcast":
-                pairs = [(ranks[root], ranks[i]) for i in others]
+                pairs = [(root, i) for i in others]
             else:  # reduce
-                pairs = [(ranks[i], ranks[root]) for i in others]
+                pairs = [(i, root) for i in others]
         group.inflight = len(pairs)
+        group.done_regs = []
+        tape = self.tape
 
-        def flow_done(now, group=group):
+        def flow_done(now, done_reg, group=group):
+            if tape is not None:
+                group.done_regs.append(done_reg)
             group.inflight -= 1
             if group.inflight:
                 return
+            if tape is not None:
+                # Lane-wise the slowest pair may differ; the phase ends
+                # at the max over every pair's completion (commutative).
+                done_reg = tape.reg()
+                tape.emit(_MAX, done_reg,
+                          tuple(dict.fromkeys(group.done_regs)))
             group.phase += 1
             if group.phase >= group.total_phases:
-                self._group_done(group, now)
+                self._group_done(group, now, done_reg)
             else:
-                self._spawn_phase(group, now)
+                self._spawn_phase(group, now, done_reg)
 
         topo = comm.topology
-        for src, dst in pairs:
-            route = topo.route(src, dst)
+        endpoints = col = None
+        for i, j in pairs:
+            route = topo.route(ranks[i], ranks[j])
             factor = comm._transport_factor(route, group.chunk)
-            self._launch_transfer(t, route, per_transfer * factor,
-                                  flow_done)
+            nbytes = per_transfer * factor
+            if tape is not None:
+                endpoints = (("comm", group.members[i]),
+                             ("comm", group.members[j]))
+                streamed = nbytes > _EPS_BYTES and bool(route.segments)
+                col = tape.col(_C_COLL, next(iter(group.uids.values())),
+                               n, *endpoints, streamed)
+            self._launch_transfer(t, reg, route, nbytes, flow_done,
+                                  endpoints, col)
 
-    def _group_done(self, group: _Group, t: float) -> None:
+    def _group_done(self, group: _Group, t: float, reg: int) -> None:
         watchdog = getattr(self.ctx.comm, "watchdog", None)
+        tape = self.tape
         for rank, uid in group.uids.items():
             arrival = group.arrived[rank]
             if watchdog is not None and t - arrival >= watchdog:
                 raise FastPathUnsupported(
                     "collective completion races the watchdog timeout")
-            op = self.plan.op(uid)
+            if tape is not None:
+                if watchdog is not None:
+                    tape.emit(_WATCHDOG, reg, group.regs[rank], watchdog)
+                self._start_regs[uid] = group.regs[rank]
             self._start[uid] = arrival
-            self._op_done(op, t)
+            self._op_done(self.plan.op(uid), t, reg)
 
     # -- transfers (Topology.transfer mirror) ------------------------------
-    def _launch_transfer(self, t: float, route, nbytes: float,
-                         on_done) -> None:
-        """Mirror ``Topology._transfer``: fixed latency, then the flow."""
+    def _launch_transfer(self, t: float, reg: int, route, nbytes: float,
+                         on_done, endpoints=None,
+                         size_col: Optional[int] = None) -> None:
+        """Mirror ``Topology._transfer``: fixed latency, then the flow.
+
+        ``endpoints`` (a ``(src_spec, dst_spec)`` pair) and ``size_col``
+        are only read while recording.
+        """
         topo = self.ctx.topology
         arrival = t + (topo.transfer_overhead + route.latency)
         segments = route.segments
+        tape = self.tape
+        use = None
+        if tape is not None:
+            arr = tape.reg()
+            tape.emit(_ADD, arr, reg, tape.col(_C_FIXED, *endpoints))
+            reg = arr
+            if nbytes > 0 and segments:
+                use = tape.route_use(*endpoints, route)
         if nbytes > 0 and segments:
             self._schedule(
-                arrival,
-                lambda now: self._flow_arrives(segments, nbytes, on_done,
-                                               now))
+                arrival, reg,
+                lambda now, r: self._flow_arrives(segments, nbytes, on_done,
+                                                  now, r, size_col, use))
         else:
-            self._schedule(arrival, on_done)
+            self._schedule(arrival, reg, on_done)
 
-    def _run_transfer(self, op, t: float) -> None:
+    def _run_transfer(self, op, t: float, reg: int) -> None:
         ctx = self.ctx
         gpus = ctx.gpus
         if isinstance(op, H2DCopy):
             src, dst = ctx.host_node, gpus[op.rank].name
+            endpoints = (("host",), ("gpu", op.rank))
         elif isinstance(op, D2HCopy):
             src, dst = gpus[op.rank].name, ctx.host_node
+            endpoints = (("gpu", op.rank), ("host",))
         else:
             src, dst = gpus[op.rank].name, gpus[op.dst_rank].name
+            endpoints = (("gpu", op.rank), ("gpu", op.dst_rank))
         route = ctx.topology.route(src, dst)
-        self._launch_transfer(t, route, op.bytes,
-                              lambda now: self._op_done(op, now))
+        col = None
+        if self.tape is not None:
+            streamed = op.bytes > _EPS_BYTES and bool(route.segments)
+            col = self.tape.col(_C_OP_BYTES, op.uid, streamed)
+        self._launch_transfer(t, reg, route, op.bytes,
+                              lambda now, r: self._op_done(op, now, r),
+                              endpoints, col)
 
     # -- storage I/O (StorageDevice._io mirror) ----------------------------
-    def _enqueue_io(self, op, t: float) -> None:
+    def _io_event(self, reg: int, enqueue: bool) -> None:
+        """Record the guards of one storage event (recording only).
+
+        Admission is order-driven: the whole interleaved sequence of
+        storage events is guarded non-strictly (a completion landing on
+        an enqueue's instant commutes — the op is admitted at that
+        instant either way), and consecutive *enqueues* strictly: two
+        commands racing for one queue slot is the ambiguity the engine
+        refuses.
+        """
+        tape = self.tape
+        last = self._io_event_reg
+        if last is not None and last != reg:
+            tape.emit(_ORDER, last, reg, False)
+        self._io_event_reg = reg
+        if enqueue:
+            if self._io_enqueue_reg is not None:
+                tape.emit(_ORDER, self._io_enqueue_reg, reg, True)
+            self._io_enqueue_reg = reg
+
+    def _enqueue_io(self, op, t: float, reg: int) -> None:
+        if self.tape is not None:
+            self._io_event(reg, True)
         if self._io_active < self.ctx.storage.spec.queue_depth:
             self._io_active += 1
-            self._admit_io(op, t)
+            self._admit_io(op, t, reg)
         else:
             if self._last_io_ready == t:
                 raise FastPathUnsupported(
@@ -450,40 +695,72 @@ class _Engine:
             self._last_io_ready = t
             self._io_queue.append(op)
 
-    def _admit_io(self, op, t: float) -> None:
+    def _admit_io(self, op, t: float, reg: int) -> None:
         storage = self.ctx.storage
         spec = storage.spec
         if isinstance(op, StorageRead):
             src, dst = storage.media_node, self.ctx.host_node
+            endpoints = (("media",), ("host",))
             nbytes, latency = op.bytes, spec.read_latency
         else:
             inflation = spec.read_bandwidth / spec.write_bandwidth
             src, dst = self.ctx.host_node, storage.media_node
+            endpoints = (("host",), ("media",))
             nbytes, latency = op.bytes * inflation, spec.write_latency
         route = self.ctx.topology.route(src, dst)
+        tape = self.tape
+        size_col = None
+        if tape is not None:
+            streamed = nbytes > _EPS_BYTES and bool(route.segments)
+            size_col = tape.col(_C_IO_BYTES, op.uid, streamed)
+            launched = tape.reg()
+            tape.emit(_ADD, launched, reg, tape.col(_C_IO_LAT, op.uid))
+            reg = launched
 
-        def done(now):
+        def done(now, done_reg):
+            if tape is not None:
+                self._io_event(done_reg, False)
             self._io_active -= 1
             if self._io_queue:
                 self._io_active += 1
-                self._admit_io(self._io_queue.pop(0), now)
-            self._op_done(op, now)
+                self._admit_io(self._io_queue.pop(0), now, done_reg)
+            self._op_done(op, now, done_reg)
 
-        self._launch_transfer(t + latency, route, nbytes, done)
+        self._launch_transfer(t + latency, reg, route, nbytes, done,
+                              endpoints, size_col)
 
     # -- the global fluid timeline (FlowScheduler mirror) ------------------
-    def _flow_arrives(self, segments, nbytes: float, on_done,
-                      now: float) -> None:
+    def _rates(self) -> tuple:
+        return tuple((fid, f.rate) for fid, f in self._flows.items())
+
+    def _flow_arrives(self, segments, nbytes: float, on_done, now: float,
+                      reg: int, size_col: Optional[int],
+                      route_use: Optional[int]) -> None:
         """Mirror ``start_flow``: advance, add, recompute."""
         if nbytes <= _EPS_BYTES or not segments:
-            self._schedule(now, on_done)
+            self._schedule(now, reg, on_done)
             return
+        tape = self.tape
+        active = None
+        if tape is not None:
+            # The arrival must land inside the current fluid epoch:
+            # after the previous fluid event, and before any active
+            # flow would have drained (else the lane's rate history
+            # differs).
+            active = self._rates()
+            tape.emit(_ORDER, self._update_reg, reg, False)
+            if active:
+                tape.emit(_BOUND, reg, self._update_reg, active)
         flow = _Flow(segments, nbytes, on_done)
         self._advance(now)
         self._flow_ids += 1
         self._flows[self._flow_ids] = flow
         self._solver.add(flow)
-        self._recompute(now)
+        if tape is not None:
+            tape.n_flows = self._flow_ids
+            tape.flow_routes.append((self._flow_ids, route_use))
+            tape.emit(_FLOW, self._flow_ids, size_col)
+        self._recompute(now, reg, active)
 
     def _advance(self, now: float) -> None:
         dt = now - self._last_update
@@ -495,18 +772,29 @@ class _Engine:
             if delivered > 0:
                 flow.remaining -= delivered
 
-    def _recompute(self, now: float) -> None:
+    def _recompute(self, now: float, reg: int,
+                   active: Optional[tuple]) -> None:
         # Complete drained flows under the *current* rates, then
         # water-fill the affected components — the FlowScheduler update
-        # order, with the same incremental solver.
+        # order, with the same incremental solver.  ``active`` holds the
+        # pre-event flow rates while recording.
         drained = [fid for fid, f in self._flows.items()
                    if self._is_drained(f)]
+        tape = self.tape
+        if tape is not None:
+            # One instruction advances every active flow by the lane's
+            # dt (including dt == 0) and checks the drain membership.
+            survivors = tuple((fid, f.rate) for fid, f in self._flows.items()
+                              if fid not in drained)
+            tape.emit(_RECOMP, self._update_reg, reg, active,
+                      tuple(drained), survivors)
+            self._update_reg = reg
         for fid in drained:
             flow = self._flows.pop(fid)
             self._solver.remove(flow)
-            self._schedule(now, flow.on_done)
+            self._schedule(now, reg, flow.on_done)
         self._solver.solve()
-        self._arm_timer(now)
+        self._arm_timer(now, reg)
 
     @staticmethod
     def _is_drained(flow: _Flow) -> bool:
@@ -515,21 +803,45 @@ class _Engine:
         return flow.rate > 0 \
             and flow.remaining / flow.rate <= _EPS_SECONDS
 
-    def _arm_timer(self, now: float) -> None:
+    def _arm_timer(self, now: float, reg: int) -> None:
         self._generation += 1
         if not self._flows:
             return
         gen = self._generation
         horizon = min(f.remaining / f.rate for f in self._flows.values()
                       if f.rate > 0)
-        self._schedule(now + horizon,
-                       lambda t: self._on_timer(t, gen))
+        self._schedule(now + horizon, reg,
+                       lambda t, r: self._on_timer(t, r, gen))
 
-    def _on_timer(self, now: float, generation: int) -> None:
+    def _on_timer(self, now: float, reg: int, generation: int) -> None:
         if generation != self._generation:
-            return  # superseded by a later recompute
+            return  # superseded by a later recompute; never on the tape
+        tape = self.tape
+        active = None
+        if tape is not None:
+            # A fired timer directly follows the fluid event that armed
+            # it (anything in between would have bumped the generation),
+            # so the flow state here *is* the arming state: the horizon
+            # to replay is the argmin flow's remaining/rate, guarded
+            # minimal against every other active flow's horizon.
+            active = self._rates()
+            fmin, rmin, best = None, 0.0, None
+            others = []
+            for fid, f in self._flows.items():
+                if f.rate <= 0:
+                    continue
+                h = f.remaining / f.rate
+                if best is None or h < best:
+                    if fmin is not None:
+                        others.append((fmin, rmin))
+                    fmin, rmin, best = fid, f.rate, h
+                else:
+                    others.append((fid, f.rate))
+            reg = tape.reg()
+            tape.emit(_TIMER, reg, self._update_reg, fmin, rmin,
+                      tuple(others))
         self._advance(now)
-        self._recompute(now)
+        self._recompute(now, reg, active)
 
 
 def fastpath_schedule(plan: StepPlan, ctx: ExecutionContext) -> PlanTiming:

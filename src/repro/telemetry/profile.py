@@ -47,7 +47,13 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from ..plan.executor import ExecutionContext
-from ..plan.fastpath import _COMM_KIND, _RING, PlanTiming, _Engine
+from ..plan.fastpath import (
+    _COMM_KIND,
+    _RING,
+    FastPathUnsupported,
+    PlanTiming,
+    _Engine,
+)
 from ..plan.ir import (
     Barrier,
     Collective,
@@ -76,9 +82,6 @@ __all__ = [
     "scale_plan",
     "predict_scaled_timing",
     "relaxation_is_exact",
-    "dirty_cone",
-    "IncrementalRetime",
-    "retime_incremental",
     "WhatIf",
     "what_if",
     "PlanProfile",
@@ -306,7 +309,7 @@ def _solo_group_seconds(group: _BaseGroup, ctx: ExecutionContext,
         host_node=ctx.host_node, storage=ctx.storage)
     try:
         solo = _Engine(probe, probe_ctx).run().makespan
-    except Exception:
+    except FastPathUnsupported:
         solo = None  # e.g. watchdog refusal: skip the contention split
     cache[key] = solo
     return solo
@@ -748,13 +751,12 @@ def relaxation_is_exact(plan: StepPlan, bucket: str,
 
 
 class _DurationModel:
-    """Measured-duration oracle shared by the what-if replays.
+    """Measured-duration oracle for the what-if replay.
 
     Precomputes the per-op *exclusive* durations from one base timing
     (stream admission and rendezvous grouping reconstructed from the
     measured times) and answers "how long does this op run under the
-    rescaled bucket" — the full and incremental replays only differ in
-    *which* ops they re-time, never in how long an op takes.
+    rescaled bucket".
     """
 
     def __init__(self, plan: StepPlan, base: PlanTiming,
@@ -857,64 +859,15 @@ class _DurationModel:
                                   phases * (topo.transfer_overhead + lat))
 
 
-def _retime(plan: StepPlan, model: _DurationModel,
-            cone: Optional[frozenset] = None):
-    """Event-driven replay of the measured schedule over ``cone``.
-
-    With ``cone=None`` every op is re-timed (the full relaxation).
-    Otherwise only cone members are replayed: a clean dependency
-    contributes its *base* end time to a dirty op's readiness, each
-    rank's stream cursor starts where its clean prefix left off, and
-    per-(communicator, rank) join numbering starts after the clean
-    prefix of rendezvous instances.
-
-    Returns ``(out, violations)`` — the re-timed spans, plus the seed
-    sets to add if a dirty event was observed moving *before* the clean
-    frontier it was assumed to follow (the detect-and-expand guard;
-    always empty for the full replay).
-    """
-    times = model.times
-    all_uids = {op.uid for op in plan}
-    cone_set = all_uids if cone is None else set(cone)
-    clean = all_uids - cone_set
-
-    # Clean frontiers the guard checks against: the latest base ready
-    # time among a rank's clean computes, and the latest base arrival
-    # among a (communicator, rank)'s clean joins.
-    stream_free: dict = {}
-    last_clean_ready: dict = {}
-    clean_joins: dict = {}
-    last_clean_join: dict = {}
-    for op in plan:
-        if op.uid not in clean:
-            continue
-        if isinstance(op, Compute):
-            start, end = times[op.uid]
-            rank = op.rank
-            stream_free[rank] = max(stream_free.get(rank, 0.0), end)
-            last_clean_ready[rank] = max(last_clean_ready.get(rank, 0.0),
-                                         start)
-        elif isinstance(op, (Collective, Barrier)):
-            key = (getattr(op, "group", None), op.rank)
-            clean_joins[key] = clean_joins.get(key, 0) + 1
-            last_clean_join[key] = max(last_clean_join.get(key, 0.0),
-                                       times[op.uid][0])
-
+def _retime(plan: StepPlan, model: _DurationModel) -> dict:
+    """Event-driven replay of the measured schedule; uid -> (start, end)."""
     indegree: dict = {}
-    dependents: dict = {uid: [] for uid in cone_set}
+    dependents: dict = {op.uid: [] for op in plan}
     ready_at: dict = {}
     for op in plan:
-        if op.uid not in cone_set:
-            continue
-        count = 0
+        indegree[op.uid] = len(op.deps)
         for dep in op.deps:
-            if dep in cone_set:
-                count += 1
-                dependents[dep].append(op)
-            else:
-                ready_at[op.uid] = max(ready_at.get(op.uid, 0.0),
-                                       times[dep][1])
-        indegree[op.uid] = count
+            dependents[dep].append(op)
 
     heap: list = []
     seq = 0
@@ -926,20 +879,13 @@ def _retime(plan: StepPlan, model: _DurationModel,
 
     for rank in range(plan.world_size):
         for op in plan.by_rank(rank):
-            if op.uid in cone_set and indegree[op.uid] == 0:
-                push(ready_at.get(op.uid, 0.0), op)
+            if indegree[op.uid] == 0:
+                push(0.0, op)
 
     out: dict = {}
-    join_seq: dict = dict(clean_joins)
+    stream_free: dict = {}
+    join_seq: dict = {}
     open_groups: dict = {}
-    violations: set = set()
-
-    def moved_before(t, frontier_key, frontier, op):
-        # A dirty event may not overtake the clean frontier it was
-        # ordered after in the base schedule; an unchanged time is by
-        # definition in its base position.
-        return frontier_key in frontier and t <= frontier[frontier_key] \
-            and t != times[op.uid][0]
 
     def finish(op, start, end):
         out[op.uid] = (start, end)
@@ -952,16 +898,12 @@ def _retime(plan: StepPlan, model: _DurationModel,
     while heap:
         t, _seq, op = heappop(heap)
         if isinstance(op, Compute):
-            if moved_before(t, op.rank, last_clean_ready, op):
-                violations.add(("stream", op.rank))
             begin = max(t, stream_free.get(op.rank, 0.0))
             end = begin + model.exec_duration(op)
             stream_free[op.rank] = end
             finish(op, t, end)
         elif isinstance(op, (Collective, Barrier)):
             gkey = getattr(op, "group", None)
-            if moved_before(t, (gkey, op.rank), last_clean_join, op):
-                violations.add(("join", gkey, op.rank))
             expected = plan.world_size if gkey is None else len(gkey)
             opid = join_seq.get((gkey, op.rank), 0)
             join_seq[(gkey, op.rank)] = opid + 1
@@ -983,11 +925,11 @@ def _retime(plan: StepPlan, model: _DurationModel,
             finish(op, t, t + seconds + fraction * t)
         else:  # pragma: no cover - taxonomy is closed
             raise PlanError(f"cannot replay op kind {op.kind!r}")
-    if len(out) != len(cone_set):
+    if len(out) != len(plan.ops):
         raise PlanError(
-            f"what-if replay stalled: {len(cone_set) - len(out)} op(s) "
+            f"what-if replay stalled: {len(plan.ops) - len(out)} op(s) "
             "never became ready (asymmetric rendezvous?)")
-    return out, violations
+    return out
 
 
 def predict_scaled_timing(plan: StepPlan, base: PlanTiming,
@@ -1004,142 +946,9 @@ def predict_scaled_timing(plan: StepPlan, base: PlanTiming,
     the DAG.  ``base`` must be a plan-relative timing (starts at 0).
     """
     model = _DurationModel(plan, base, ctx, bucket, factor)
-    out, _violations = _retime(plan, model, cone=None)
+    out = _retime(plan, model)
     makespan = max((end for _s, end in out.values()), default=0.0)
     return PlanTiming(mode="predicted", op_times=out, makespan=makespan)
-
-
-def dirty_cone(plan: StepPlan, base, seeds) -> frozenset:
-    """Ops whose times may change when ``seeds``' durations change.
-
-    The closure over the three edge kinds that carry timing influence
-    in the measured-schedule replay — the what-if analogue of PR 8's
-    component-independence argument for the max-min solver (an op
-    outside every influence path of the perturbation keeps its time):
-
-    - **DAG edges** — dependents of a dirty op are dirty (readiness is
-      a max over dependency ends);
-    - **stream suffix** — every compute at-or-after the first dirty
-      compute in a rank's base admission order is dirty (the FIFO
-      cursor threads their begins together); ties are taken dirty;
-    - **rendezvous hyperedges** — if any member of a base rendezvous
-      instance is dirty all members are (the group ends together), and
-      on each member rank every later join on the same communicator is
-      dirty (instance numbering shifts with arrival order).
-
-    Conversely a clean op's readiness inputs, stream predecessors, and
-    rendezvous peers are all clean, so by induction over base event
-    order its replayed times equal its base times exactly — re-timing
-    the cone alone reproduces the full relaxation.  The one assumption
-    is that dirty events do not *overtake* the clean frontier (a dirty
-    compute becoming ready before a clean one admitted earlier would
-    reorder the FIFO); :func:`retime_incremental` guards exactly that
-    and expands the cone when it trips.
-    """
-    times = _times_of(base)
-    begins, _prevs = _stream_begins(plan, times)
-    _groups, by_uid = _rendezvous_groups(plan, times)
-    instance_members: dict = {}
-    for g in _groups:
-        members = tuple(g.uids.values())
-        for uid in members:
-            instance_members[uid] = members
-
-    streams: dict = {}
-    joins: dict = {}
-    dependents: dict = {op.uid: [] for op in plan}
-    ops_by_uid = {op.uid: op for op in plan}
-    for op in plan:
-        for dep in op.deps:
-            dependents[dep].append(op.uid)
-        if isinstance(op, Compute):
-            begin = begins.get(op.uid, times[op.uid][0])
-            streams.setdefault(op.rank, []).append((begin, op.uid))
-        elif isinstance(op, (Collective, Barrier)):
-            key = (getattr(op, "group", None), op.rank)
-            joins.setdefault(key, []).append((times[op.uid][0], op.uid))
-
-    dirty = set()
-    work = [uid for uid in seeds if uid in ops_by_uid]
-    while work:
-        uid = work.pop()
-        if uid in dirty:
-            continue
-        dirty.add(uid)
-        work.extend(d for d in dependents[uid] if d not in dirty)
-        op = ops_by_uid[uid]
-        if isinstance(op, Compute):
-            begin = begins.get(uid, times[uid][0])
-            work.extend(u for b, u in streams[op.rank]
-                        if b >= begin and u not in dirty)
-        elif isinstance(op, (Collective, Barrier)):
-            members = instance_members.get(uid, ())
-            work.extend(u for u in members if u not in dirty)
-            arrival = times[uid][0]
-            key = (getattr(op, "group", None), op.rank)
-            work.extend(u for a, u in joins[key]
-                        if a >= arrival and u not in dirty)
-    return frozenset(dirty)
-
-
-@dataclass
-class IncrementalRetime:
-    """One incremental re-timing: the merged timing plus cone stats."""
-
-    timing: PlanTiming
-    cone: frozenset
-    #: Fraction of the plan's ops that were re-timed.
-    cone_fraction: float
-    #: Detect-and-expand rounds the guard forced (0 = cone held).
-    expand_rounds: int
-
-
-def retime_incremental(plan: StepPlan, base: PlanTiming,
-                       ctx: ExecutionContext, bucket: str,
-                       factor: float,
-                       seeds=None) -> IncrementalRetime:
-    """:func:`predict_scaled_timing`, re-timing only the dirty cone.
-
-    ``seeds`` defaults to the ops the bucket rescaling actually touches
-    (see ``_scalable``); pass an explicit uid set to re-time after a
-    knob perturbed specific ops.  Ops outside the cone keep their base
-    times verbatim; cone ops replay against the frozen clean frontier.
-    If the guard observes a dirty event overtaking that frontier the
-    offending rank/communicator is added to the seeds and the replay
-    reruns — each round strictly grows the cone, so this terminates
-    (in the worst case at the full relaxation).
-    """
-    model = _DurationModel(plan, base, ctx, bucket, factor)
-    if seeds is None:
-        seeds = set() if factor == 1.0 else \
-            {op.uid for op in plan if _scalable(op, bucket)}
-    seeds = set(seeds)
-    times = model.times
-    rounds = 0
-    while True:
-        cone = dirty_cone(plan, times, seeds)
-        out, violations = _retime(plan, model, cone)
-        if not violations:
-            break
-        rounds += 1
-        for violation in violations:
-            if violation[0] == "stream":
-                seeds.update(op.uid for op in plan.by_rank(violation[1])
-                             if isinstance(op, Compute))
-            else:
-                _kind, gkey, rank = violation
-                seeds.update(op.uid for op in plan.by_rank(rank)
-                             if isinstance(op, (Collective, Barrier))
-                             and getattr(op, "group", None) == gkey)
-    merged = {uid: (out[uid] if uid in out else span)
-              for uid, span in times.items()}
-    makespan = max((end for _s, end in merged.values()), default=0.0)
-    timing = PlanTiming(mode="predicted", op_times=merged,
-                        makespan=makespan)
-    n_ops = len(plan.ops) or 1
-    return IncrementalRetime(timing=timing, cone=cone,
-                             cone_fraction=len(cone) / n_ops,
-                             expand_rounds=rounds)
 
 
 @dataclass
@@ -1211,28 +1020,26 @@ def what_if(plan: StepPlan, base: PlanTiming, ctx: ExecutionContext,
     the environment and device state.
     """
     exact = relaxation_is_exact(plan, bucket, factor)
+    predicted = None
     if not any(_scalable(op, bucket) for op in plan):
         predicted = base.makespan
         method = "identity"
-    else:
-        # The incremental replay reproduces the full relaxation (see
-        # dirty_cone) while touching only the perturbed cone.
-        predicted = retime_incremental(plan, base, ctx, bucket,
-                                       factor).timing.makespan
+    elif not exact:
+        probe_ctx = ExecutionContext(
+            env=ctx.env, comm=ctx.comm, gpus=ctx.gpus,
+            topology=ctx.topology, host_node=ctx.host_node,
+            storage=ctx.storage, jitter=ctx.jitter)
+        probe = scale_plan(plan, bucket,
+                           factor if factor > 0 else _EPSILON_FACTOR)
+        try:
+            predicted = _Engine(probe, probe_ctx).run().makespan
+            method = "fastpath-epsilon"
+        except FastPathUnsupported:
+            pass  # fall back to the relaxation estimate
+    if predicted is None:
+        predicted = predict_scaled_timing(plan, base, ctx, bucket,
+                                          factor).makespan
         method = "relaxation"
-        if not exact:
-            probe_factor = factor if factor > 0 else _EPSILON_FACTOR
-            try:
-                probe_ctx = ExecutionContext(
-                    env=ctx.env, comm=ctx.comm, gpus=ctx.gpus,
-                    topology=ctx.topology, host_node=ctx.host_node,
-                    storage=ctx.storage, jitter=ctx.jitter)
-                predicted = _Engine(scale_plan(plan, bucket,
-                                               probe_factor),
-                                    probe_ctx).run().makespan
-                method = "fastpath-epsilon"
-            except Exception:
-                pass  # keep the relaxation estimate
     amdahl = None
     if cp_attr is not None:
         on_path = cp_attr.seconds.get(bucket, 0.0) \

@@ -5,17 +5,22 @@ import dataclasses
 import pytest
 
 from repro.plan import (
+    FastPathUnsupported,
     LaneIncompatible,
     PlanBuilder,
     evaluate_batch,
     evaluate_plan,
+    fastpath_schedule,
     plan_structure_key,
 )
-from repro.plan.batched import _LaneResolver, _TapeEngine
+from repro.plan.batched import _LaneResolver, _record
+from repro.plan.fastpath import _Engine, _Tape
 from repro.telemetry import Tracer
 from repro.telemetry.profile import scale_plan
 
+from . import test_group_collectives
 from .test_fastpath import _compute, make_ctx, taxonomy_plan
+from .test_fastpath_refusals import REFUSALS, depth1_storage_ctx
 
 
 def scaled_lanes(ctx, factors=(0.5, 0.75, 1.0, 1.25, 2.0)):
@@ -176,7 +181,7 @@ class TestRatePrecondition:
             link.spec = dataclasses.replace(
                 link.spec, bandwidth=link.spec.bandwidth * 0.5)
         plan = taxonomy_plan()
-        tape = _TapeEngine(plan, ctx_ref).run()
+        tape = _record(plan, ctx_ref)
         with pytest.raises(LaneIncompatible, match="capacit"):
             _LaneResolver(tape, plan, ctx_slow).resolve()
 
@@ -194,3 +199,55 @@ class TestRatePrecondition:
         assert res.fallback_lanes == 1
         slow_scalar = evaluate_plan(plan, ctx_slow, mode="fastpath")
         assert res.timings[2].op_times == slow_scalar.op_times
+
+
+class TestFallbackMode:
+    def test_unknown_fallback_raises_when_a_lane_falls_back(self):
+        # A singleton group always falls back, so the mode is consulted.
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            evaluate_batch([(taxonomy_plan(), make_ctx())],
+                           fallback="bogus")
+
+
+def storage_plan():
+    """Checkpoint shards queueing behind each other for storage."""
+    b = PlanBuilder("ckpt", world_size=1)
+    prev = []
+    for i in range(3):
+        f = _compute(b, 0, f"fwd-{i}", deps=prev, flops=1e11 * (i + 1))
+        w = b.storage_write(0, f"shard-{i}", 4e6, deps=[f])
+        prev = [f]
+    b.storage_read(0, "reload", 4e6, deps=[f, w])
+    return b.build()
+
+
+def grouped_case():
+    _system, ctx = test_group_collectives.make_ctx()
+    return test_group_collectives.grouped_plan(), ctx
+
+
+#: Plans whose recording must reproduce the scalar run exactly.
+RECORDED = {
+    "taxonomy": lambda: (taxonomy_plan(), make_ctx()),
+    "grouped": grouped_case,
+    "storage": lambda: (storage_plan(), depth1_storage_ctx()),
+}
+
+
+class TestRecordingParity:
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_recording_run_times_equal_scalar(self, name):
+        plan, ctx = RECORDED[name]()
+        tape = _Tape()
+        recorded = _Engine(plan, ctx, tape=tape).run()
+        assert tape.op_regs.keys() == recorded.op_times.keys()
+        assert recorded.op_times == fastpath_schedule(plan, ctx).op_times
+
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_recording_refuses_like_scalar(self, name):
+        plan_factory, ctx_factory, _match = REFUSALS[name]
+        with pytest.raises(FastPathUnsupported) as scalar:
+            fastpath_schedule(plan_factory(), ctx_factory())
+        with pytest.raises(FastPathUnsupported) as recorded:
+            _record(plan_factory(), ctx_factory())
+        assert str(recorded.value) == str(scalar.value)

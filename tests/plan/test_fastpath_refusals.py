@@ -51,98 +51,116 @@ def assert_falls_back(plan_factory, ctx_factory, match):
     return auto
 
 
+# -- refusal cases: (plan factory, ctx factory, message match) ---------------
+
+def jitter_plan():
+    b = PlanBuilder("step", world_size=1)
+    f = _compute(b, 0, "forward", jittered=True)
+    _compute(b, 0, "opt", deps=[f], flops=1e11)
+    return b.build()
+
+
+def fifo_tie_plan():
+    # Two root computes on one rank are ready at t=0: the engine cannot
+    # prove which one the stream admits first.
+    b = PlanBuilder("step", world_size=1)
+    _compute(b, 0, "a")
+    _compute(b, 0, "b")
+    return b.build()
+
+
+def rendezvous_tie_plan():
+    # Back-to-back collectives whose join arrivals coincide: the
+    # rendezvous matcher cannot order the groups.
+    b = PlanBuilder("step", world_size=2)
+    for rank in range(2):
+        b.collective(rank, "g1", "allreduce", 1e6)
+        b.collective(rank, "g2", "allreduce", 1e6)
+    return b.build()
+
+
+def watchdog_ctx():
+    # A watchdog shorter than a rank's join-to-completion wait.
+    system = ComposableSystem()
+    active = system.configure("localGPUs")
+    gpus = list(active.gpus)[:2]
+    comm = Communicator(system.env, system.topology,
+                        [g.name for g in gpus], gpus=gpus,
+                        watchdog=1e-12)
+    return ExecutionContext(
+        env=system.env, comm=comm, gpus=gpus,
+        topology=system.topology,
+        host_node=system.host.dram_node,
+        storage=active.storage)
+
+
+def watchdog_plan():
+    b = PlanBuilder("step", world_size=2)
+    for rank in range(2):
+        # Skew the arrivals so the collective itself is not a t=0 tie —
+        # the watchdog is the only refusal left.
+        f = _compute(b, rank, "fwd", flops=1e12 * (1 + rank))
+        b.collective(rank, "grad", "allreduce", 1e6, deps=[f])
+    return b.build()
+
+
+def depth1_storage_ctx():
+    c = make_ctx(world=1)
+    c.storage.spec = dataclasses.replace(c.storage.spec, queue_depth=1)
+    return c
+
+
+def storage_tie_plan():
+    # Three root writes against a depth-1 command queue, all ready at
+    # t=0: admission order is the event loop's to decide.
+    b = PlanBuilder("ckpt", world_size=1)
+    for i in range(3):
+        b.storage_write(0, f"shard-{i}", 1e6)
+    return b.build()
+
+
+#: Every fast-path refusal path, by name.
+REFUSALS = {
+    # Constant sampler: the executor stays deterministic, so two
+    # independent executor runs must also land identically.
+    "jitter": (jitter_plan, lambda: make_ctx(world=1, jitter=lambda: 1.0),
+               "jitter"),
+    "fifo": (fifo_tie_plan, lambda: make_ctx(world=1), "FIFO"),
+    "rendezvous": (rendezvous_tie_plan, make_ctx, "rendezvous"),
+    "watchdog": (watchdog_plan, watchdog_ctx, "watchdog"),
+    "storage": (storage_tie_plan, depth1_storage_ctx, "admission"),
+}
+
+
 class TestRefusalFallbacks:
     def test_stochastic_jitter(self):
         # An opaque sampler might draw differently on replay; the fast
         # path refuses rather than freeze one sample per op.
-        def plan():
-            b = PlanBuilder("step", world_size=1)
-            f = _compute(b, 0, "forward", jittered=True)
-            _compute(b, 0, "opt", deps=[f], flops=1e11)
-            return b.build()
-
-        # Constant sampler: the executor stays deterministic, so two
-        # independent executor runs must also land identically.
-        assert_falls_back(plan, lambda: make_ctx(world=1,
-                                                 jitter=lambda: 1.0),
-                          match="jitter")
+        assert_falls_back(*REFUSALS["jitter"])
 
     def test_fifo_admission_tie(self):
-        # Two root computes on one rank are ready at t=0: the engine
-        # cannot prove which one the stream admits first.
-        def plan():
-            b = PlanBuilder("step", world_size=1)
-            _compute(b, 0, "a")
-            _compute(b, 0, "b")
-            return b.build()
-
-        assert_falls_back(plan, lambda: make_ctx(world=1), match="FIFO")
+        assert_falls_back(*REFUSALS["fifo"])
 
     def test_rendezvous_tie(self):
-        # Back-to-back collectives whose join arrivals coincide: the
-        # rendezvous matcher cannot order the groups.
-        def plan():
-            b = PlanBuilder("step", world_size=2)
-            for rank in range(2):
-                b.collective(rank, "g1", "allreduce", 1e6)
-                b.collective(rank, "g2", "allreduce", 1e6)
-            return b.build()
-
-        assert_falls_back(plan, make_ctx, match="rendezvous")
+        assert_falls_back(*REFUSALS["rendezvous"])
 
     def test_watchdog_race(self):
-        # A watchdog shorter than a rank's join-to-completion wait: the
-        # fast path cannot decide whether the simulated job survives,
-        # so the event loop must deliver the verdict.  Here the race is
-        # real — both the auto fallback and an explicit executor run
-        # raise the *simulated* failure, not FastPathUnsupported.
+        # The fast path cannot decide whether the simulated job
+        # survives, so the event loop must deliver the verdict.  Here
+        # the race is real — both the auto fallback and an explicit
+        # executor run raise the *simulated* failure, not
+        # FastPathUnsupported.
         from repro.training import CollectiveTimeout
 
-        def ctx():
-            system = ComposableSystem()
-            active = system.configure("localGPUs")
-            gpus = list(active.gpus)[:2]
-            comm = Communicator(system.env, system.topology,
-                                [g.name for g in gpus], gpus=gpus,
-                                watchdog=1e-12)
-            return ExecutionContext(
-                env=system.env, comm=comm, gpus=gpus,
-                topology=system.topology,
-                host_node=system.host.dram_node,
-                storage=active.storage)
-
-        def plan():
-            b = PlanBuilder("step", world_size=2)
-            for rank in range(2):
-                # Skew the arrivals so the collective itself is not a
-                # t=0 tie — the watchdog is the only refusal left.
-                f = _compute(b, rank, "fwd", flops=1e12 * (1 + rank))
-                b.collective(rank, "grad", "allreduce", 1e6, deps=[f])
-            return b.build()
-
         with pytest.raises(FastPathUnsupported, match="watchdog"):
-            fastpath_schedule(plan(), ctx())
+            fastpath_schedule(watchdog_plan(), watchdog_ctx())
         with pytest.raises(CollectiveTimeout):
-            evaluate_plan(plan(), ctx(), mode="auto")
+            evaluate_plan(watchdog_plan(), watchdog_ctx(), mode="auto")
         with pytest.raises(CollectiveTimeout):
-            evaluate_plan(plan(), ctx(), mode="executor")
+            evaluate_plan(watchdog_plan(), watchdog_ctx(), mode="executor")
 
     def test_storage_admission_tie(self):
-        # Three root writes against a depth-1 command queue, all ready
-        # at t=0: admission order is the event loop's to decide.
-        def ctx():
-            c = make_ctx(world=1)
-            c.storage.spec = dataclasses.replace(c.storage.spec,
-                                                 queue_depth=1)
-            return c
-
-        def plan():
-            b = PlanBuilder("ckpt", world_size=1)
-            for i in range(3):
-                b.storage_write(0, f"shard-{i}", 1e6)
-            return b.build()
-
-        assert_falls_back(plan, ctx, match="admission")
+        assert_falls_back(*REFUSALS["storage"])
 
 
 class TestBatchedFallback:
@@ -151,14 +169,7 @@ class TestBatchedFallback:
         # whose reference recording refuses degrades lane-by-lane.
         from repro.plan.batched import evaluate_batch
 
-        def plan():
-            b = PlanBuilder("step", world_size=2)
-            for rank in range(2):
-                b.collective(rank, "g1", "allreduce", 1e6)
-                b.collective(rank, "g2", "allreduce", 1e6)
-            return b.build()
-
-        lanes = [(plan(), make_ctx()) for _ in range(3)]
+        lanes = [(rendezvous_tie_plan(), make_ctx()) for _ in range(3)]
         result = evaluate_batch(lanes, fallback="auto")
         assert result.batched_lanes == 0
         assert result.fallback_lanes == 3

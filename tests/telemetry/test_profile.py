@@ -7,7 +7,12 @@ import pytest
 
 from repro.core import ComposableSystem
 from repro.devices.gpu import Precision
-from repro.plan import ExecutionContext, PlanBuilder, PlanError
+from repro.plan import (
+    ExecutionContext,
+    FastPathUnsupported,
+    PlanBuilder,
+    PlanError,
+)
 from repro.plan.fastpath import evaluate_plan, fastpath_schedule
 from repro.telemetry.profile import (
     ATTRIBUTION_CATEGORIES,
@@ -223,6 +228,38 @@ class TestWhatIf:
             bs, be = base.op_times[uid]
             assert start == pytest.approx(bs, abs=1e-9)
             assert end == pytest.approx(be, abs=1e-9)
+
+    def test_refused_epsilon_probe_falls_back_to_relaxation(self):
+        # Two root computes tie on rank 0's stream, so the engine refuses
+        # the rescaled probe and the relaxation estimate is the answer.
+        b = PlanBuilder("tie", world_size=1)
+        _compute(b, 0, "a")
+        _compute(b, 0, "b")
+        b.h2d(0, "input", 4e6)
+        plan = b.build()
+        base = evaluate_plan(plan, make_ctx(world=1), mode="executor")
+        ctx = make_ctx(world=1)
+        with pytest.raises(FastPathUnsupported, match="FIFO"):
+            fastpath_schedule(scale_plan(plan, "copy", 0.5), ctx)
+        w = what_if(plan, base, ctx, "copy", 0.5)
+        assert w.method == "relaxation"
+        assert not w.predicted_exact
+        assert w.predicted_makespan == predict_scaled_timing(
+            plan, base, ctx, "copy", 0.5).makespan
+
+
+class TestWhatIfIntegration:
+    def test_partial_storage_what_if_agrees_with_engine(self):
+        plan = storage_plan()
+        ctx = make_ctx(world=1)
+        base = evaluate_plan(plan, ctx, mode="fastpath")
+        result = what_if(plan, base, ctx, "storage", 0.5,
+                         evaluate=True, evaluate_ctx=make_ctx(world=1))
+        # Partial storage factors are not certified, so what_if may
+        # escalate past the relaxation to an engine probe.
+        assert result.method in ("relaxation", "fastpath-epsilon")
+        assert result.predicted_makespan <= base.makespan
+        assert result.evaluated_makespan <= base.makespan
 
 
 class TestProfileRun:
