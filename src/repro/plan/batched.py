@@ -39,6 +39,11 @@ This module pays it **once per structure**:
    scalar engine refuses, a watchdog race, a flow draining early) is
    flagged and transparently re-evaluated scalar.
 
+Groups smaller than :data:`_MIN_REPLAY_LANES` skip all three steps: a
+tape costs more to record and replay than it saves on so few lanes, so
+their lanes run scalar directly.  Every scalar lane's reason is reported
+in :attr:`BatchResult.fallback_reasons`.
+
 Equivalence is therefore exact-by-construction for batched lanes and
 delegated to :func:`~repro.plan.fastpath.evaluate_plan` semantics for
 fallback lanes; ``assert_equivalence=True`` cross-checks every batched
@@ -96,6 +101,7 @@ from .ir import (
 
 __all__ = [
     "BatchResult",
+    "FALLBACK_REASONS",
     "LaneIncompatible",
     "evaluate_batch",
     "plan_structure_key",
@@ -104,6 +110,21 @@ __all__ = [
 
 class LaneIncompatible(Exception):
     """A lane cannot share the group's tape (falls back to scalar)."""
+
+
+#: Smallest structure group that records and replays a tape; smaller
+#: groups run every lane scalar.  On the autotune candidates of the
+#: Fig. 16 cells, recording costs 1.3-2.2 scalar runs and resolving,
+#: compiling and replaying a group another 1.1-3.7, so a tape pays for
+#: itself only past 2.7-5.9 lanes.
+_MIN_REPLAY_LANES = 5
+
+#: Every :attr:`BatchResult.fallback_reasons` code, in pipeline order:
+#: the lane's plan is outside the fast path's model, its group is below
+#: :data:`_MIN_REPLAY_LANES`, the group's reference recording refused,
+#: the lane fails a tape precondition, or a replay guard fired.
+FALLBACK_REASONS = ("unsupported", "small_group", "record_refused",
+                    "lane_incompatible", "diverged")
 
 
 # -- structure keys ----------------------------------------------------------
@@ -516,11 +537,14 @@ class BatchResult:
     groups: int
     #: Lanes whose results came from a vectorized tape replay.
     batched_lanes: int
-    #: Lanes evaluated scalar (singleton group, precondition failure,
-    #: recording refusal, or guard divergence).
+    #: Lanes evaluated scalar (group too small to replay, precondition
+    #: failure, recording refusal, or guard divergence).
     fallback_lanes: int
     #: Input indices whose guards fired during replay.
     diverged: list = field(default_factory=list)
+    #: Input index -> why that lane ran scalar, one of
+    #: :data:`FALLBACK_REASONS`.
+    fallback_reasons: dict = field(default_factory=dict)
 
 
 def _record(plan: StepPlan, ctx: ExecutionContext) -> _Tape:
@@ -557,13 +581,14 @@ def evaluate_batch(lanes: Sequence[tuple],
                    assert_equivalence: bool = False) -> BatchResult:
     """Evaluate many ``(plan, ctx)`` lanes, vectorizing within groups.
 
-    Lanes are grouped by :func:`plan_structure_key`; each multi-lane
-    group records one reference tape (one scalar-engine run) and
-    replays it as a numpy array program over every lane's resolved
-    cost columns.  Lanes a group cannot carry — rate preconditions
-    violated, control-flow guards fired, recording refused — are
-    evaluated with the scalar engine instead, so the result for every
-    lane equals what that lane's own scalar evaluation produces.
+    Lanes are grouped by :func:`plan_structure_key`; each group of at
+    least :data:`_MIN_REPLAY_LANES` lanes records one reference tape
+    (one scalar-engine run) and replays it as a numpy array program
+    over every lane's resolved cost columns.  Lanes a group cannot
+    carry — group too small, rate preconditions violated, control-flow
+    guards fired, recording refused — are evaluated with the scalar
+    engine instead, so the result for every lane equals what that
+    lane's own scalar evaluation produces.
 
     Parameters
     ----------
@@ -584,19 +609,18 @@ def evaluate_batch(lanes: Sequence[tuple],
     lanes = list(lanes)
     timings: list = [None] * len(lanes)
     groups: dict = {}
-    fallback_idx: list = []
-    diverged: list = []
+    reasons: dict = {}
     for idx, (plan, ctx) in enumerate(lanes):
         if fastpath_support(plan, ctx) is not None:
-            fallback_idx.append(idx)
+            reasons[idx] = "unsupported"
             continue
         key = plan_structure_key(plan, ctx)
         groups.setdefault(key, []).append(idx)
 
     batched = 0
     for members in groups.values():
-        if len(members) == 1:
-            fallback_idx.extend(members)
+        if len(members) < _MIN_REPLAY_LANES:
+            reasons.update(dict.fromkeys(members, "small_group"))
             continue
         ref_idx = members[0]
         ref_plan, ref_ctx = lanes[ref_idx]
@@ -605,7 +629,7 @@ def evaluate_batch(lanes: Sequence[tuple],
         except FastPathUnsupported:
             # The reference schedule itself is ambiguous; every lane
             # takes the scalar path (which applies its own refusals).
-            fallback_idx.extend(members)
+            reasons.update(dict.fromkeys(members, "record_refused"))
             continue
         cols = []
         replayable = []
@@ -614,7 +638,7 @@ def evaluate_batch(lanes: Sequence[tuple],
             try:
                 cols.append(_LaneResolver(tape, plan, ctx).resolve())
             except LaneIncompatible:
-                fallback_idx.append(idx)
+                reasons[idx] = "lane_incompatible"
             else:
                 replayable.append(idx)
         if not replayable:
@@ -624,8 +648,7 @@ def evaluate_batch(lanes: Sequence[tuple],
         T, ok = _replay(tape, matrix, len(replayable))
         for lane, idx in enumerate(replayable):
             if not ok[lane]:
-                diverged.append(idx)
-                fallback_idx.append(idx)
+                reasons[idx] = "diverged"
                 continue
             timing = _lane_timing(tape, T, lane)
             if assert_equivalence:
@@ -634,10 +657,13 @@ def evaluate_batch(lanes: Sequence[tuple],
             timings[idx] = timing
             batched += 1
 
-    for idx in fallback_idx:
+    reasons = dict(sorted(reasons.items()))
+    for idx in reasons:
         plan, ctx = lanes[idx]
         timings[idx] = evaluate_plan(plan, ctx, mode=fallback)
     return BatchResult(timings=timings, groups=len(groups),
                        batched_lanes=batched,
-                       fallback_lanes=len(fallback_idx),
-                       diverged=sorted(diverged))
+                       fallback_lanes=len(reasons),
+                       diverged=[idx for idx, why in reasons.items()
+                                 if why == "diverged"],
+                       fallback_reasons=reasons)

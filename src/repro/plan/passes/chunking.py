@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from ...fabric.topology import NoRouteError
 from ..ir import Barrier, Collective, StepPlan
 from .manager import PassContext, PassError, PlanPass
 
@@ -59,7 +60,8 @@ class CollectiveChunkSizing(PlanPass):
     # -- bandwidth probing -------------------------------------------------
     def _bottleneck(self, ctx: PassContext, op: Collective) -> float:
         """Min measured bandwidth over the links this op's schedule uses
-        (0.0 when the context has nothing to measure)."""
+        (0.0 when the context has nothing to measure, including a pair
+        of nodes with no route between them)."""
         topo, nodes = ctx.topology, list(ctx.rank_nodes)
         if topo is None:
             return 0.0
@@ -82,7 +84,7 @@ class CollectiveChunkSizing(PlanPass):
         for src, dst in pairs:
             try:
                 bw.append(topo.path_bandwidth(src, dst))
-            except Exception:
+            except NoRouteError:
                 return 0.0
         return min(bw) if bw else 0.0
 

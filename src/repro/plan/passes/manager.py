@@ -9,8 +9,10 @@ contract is the optimization layer's safety net:
    breaks structure, introduces a cycle, desynchronizes the ranks, or
    loses bytes fails loudly at compile time, never at execution time;
 3. each pass's effect is recorded as a :class:`PassReport` holding the
-   uid-matched :class:`~repro.plan.diff.PlanDiff`, so ``repro plan
-   --opt`` can print exactly what each rewrite did.
+   plans before and after it; the uid-matched
+   :class:`~repro.plan.diff.PlanDiff` is built the first time it is
+   read, so ``repro plan --opt`` can print exactly what each rewrite did
+   while job construction and sweeps never pay for it.
 
 Passes are registered under short CLI names in :data:`PASS_REGISTRY`;
 :func:`resolve_passes` turns ``"bucketing,overlap"`` / ``"all"`` /
@@ -20,6 +22,7 @@ already-constructed instances into a pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 from ..diff import PlanDiff, diff_plans
@@ -81,9 +84,21 @@ class PassReport:
     """One pass's measured effect on the plan."""
 
     pass_name: str
-    ops_before: int
-    ops_after: int
-    diff: PlanDiff = field(repr=False)
+    before: StepPlan = field(repr=False)
+    after: StepPlan = field(repr=False)
+
+    @property
+    def ops_before(self) -> int:
+        return len(self.before)
+
+    @property
+    def ops_after(self) -> int:
+        return len(self.after)
+
+    @cached_property
+    def diff(self) -> PlanDiff:
+        """Uid-matched diff of the pass's input and output, built once."""
+        return diff_plans(self.before, self.after)
 
     @property
     def changed(self) -> bool:
@@ -117,10 +132,7 @@ class PassManager:
             rewritten = p.run(plan, ctx)
             if self.validate:
                 assert_valid(rewritten)
-            self.reports.append(PassReport(
-                pass_name=p.name, ops_before=len(plan),
-                ops_after=len(rewritten),
-                diff=diff_plans(plan, rewritten)))
+            self.reports.append(PassReport(p.name, plan, rewritten))
             plan = rewritten
         if self.passes:
             applied = ",".join(p.describe() for p in self.passes)

@@ -13,19 +13,30 @@ from repro.plan import (
     fastpath_schedule,
     plan_structure_key,
 )
-from repro.plan.batched import _LaneResolver, _record
+from repro.plan import batched
+from repro.plan.batched import FALLBACK_REASONS, _LaneResolver, _record
 from repro.plan.fastpath import _Engine, _Tape
 from repro.telemetry import Tracer
 from repro.telemetry.profile import scale_plan
 
 from . import test_group_collectives
 from .test_fastpath import _compute, make_ctx, taxonomy_plan
-from .test_fastpath_refusals import REFUSALS, depth1_storage_ctx
+from .test_fastpath_refusals import (
+    REFUSALS,
+    depth1_storage_ctx,
+    rendezvous_tie_plan,
+)
 
 
 def scaled_lanes(ctx, factors=(0.5, 0.75, 1.0, 1.25, 2.0)):
     plan = taxonomy_plan()
     return [(scale_plan(plan, "compute", f), ctx) for f in factors]
+
+
+@pytest.fixture
+def replay_small_groups(monkeypatch):
+    """Let the 2-4 lane groups of a test record and replay a tape."""
+    monkeypatch.setattr(batched, "_MIN_REPLAY_LANES", 2)
 
 
 class TestStructureKey:
@@ -100,6 +111,7 @@ class TestEquivalence:
         assert res.groups == 0
 
 
+@pytest.mark.usefixtures("replay_small_groups")
 class TestGrouping:
     def test_two_structures_two_groups(self):
         ctx = make_ctx()
@@ -143,6 +155,7 @@ def chain_plan(s1, s2):
     return b.build()
 
 
+@pytest.mark.usefixtures("replay_small_groups")
 class TestDivergence:
     def test_flipped_order_falls_back_scalar(self):
         ctx = make_ctx(world=1)
@@ -173,13 +186,20 @@ class TestDivergence:
         assert all(t.mode == "executor" for t in res.timings)
 
 
+def slow_ctx():
+    """A context whose every link runs at half the default bandwidth."""
+    ctx = make_ctx()
+    for link in ctx.topology.links():
+        link.spec = dataclasses.replace(
+            link.spec, bandwidth=link.spec.bandwidth * 0.5)
+    return ctx
+
+
+@pytest.mark.usefixtures("replay_small_groups")
 class TestRatePrecondition:
     def test_capacity_mismatch_is_lane_incompatible(self):
         ctx_ref = make_ctx()
-        ctx_slow = make_ctx()
-        for link in ctx_slow.topology.links():
-            link.spec = dataclasses.replace(
-                link.spec, bandwidth=link.spec.bandwidth * 0.5)
+        ctx_slow = slow_ctx()
         plan = taxonomy_plan()
         tape = _record(plan, ctx_ref)
         with pytest.raises(LaneIncompatible, match="capacit"):
@@ -187,10 +207,7 @@ class TestRatePrecondition:
 
     def test_capacity_mismatch_falls_back_via_api(self):
         ctx_ref = make_ctx()
-        ctx_slow = make_ctx()
-        for link in ctx_slow.topology.links():
-            link.spec = dataclasses.replace(
-                link.spec, bandwidth=link.spec.bandwidth * 0.5)
+        ctx_slow = slow_ctx()
         plan = taxonomy_plan()
         lanes = [(plan, ctx_ref), (scale_plan(plan, "compute", 1.5),
                                    ctx_ref), (plan, ctx_slow)]
@@ -207,6 +224,77 @@ class TestFallbackMode:
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):
             evaluate_batch([(taxonomy_plan(), make_ctx())],
                            fallback="bogus")
+
+
+def _traced_ctx():
+    ctx = make_ctx()
+    ctx.tracer = Tracer(ctx.env)
+    return ctx
+
+
+#: Reason code -> (lanes factory, fallback mode, expected reasons), each
+#: at the default replay threshold.
+REASON_CASES = {
+    "unsupported": (
+        lambda: [(taxonomy_plan(), _traced_ctx())], "auto",
+        {0: "unsupported"}),
+    "small_group": (
+        lambda: scaled_lanes(make_ctx(), factors=(1.0, 2.0)), "fastpath",
+        {0: "small_group", 1: "small_group"}),
+    "record_refused": (
+        lambda: [(rendezvous_tie_plan(), make_ctx()) for _ in range(5)],
+        "auto", dict.fromkeys(range(5), "record_refused")),
+    "lane_incompatible": (
+        lambda: scaled_lanes(make_ctx(), factors=(0.5, 1.0, 1.5, 2.0))
+        + [(taxonomy_plan(), slow_ctx())],
+        "fastpath", {4: "lane_incompatible"}),
+    "diverged": (
+        lambda: [(chain_plan(s1, s2), make_ctx(world=1))
+                 for s1, s2 in ((0.1, 0.2), (0.11, 0.2), (0.12, 0.2),
+                                (0.13, 0.2), (0.2, 0.1))],
+        "fastpath", {4: "diverged"}),
+}
+
+
+class TestFallbackReasons:
+    @pytest.mark.parametrize("code", FALLBACK_REASONS)
+    def test_code_is_reported_deterministically(self, code):
+        lanes_factory, mode, expected = REASON_CASES[code]
+        lanes = lanes_factory()
+        res = evaluate_batch(lanes, fallback=mode)
+        assert res.fallback_reasons == expected
+        assert res.fallback_lanes == len(expected)
+        assert res.batched_lanes == len(lanes) - len(expected)
+        assert res.diverged == [i for i, why in expected.items()
+                                if why == "diverged"]
+        again = evaluate_batch(lanes_factory(), fallback=mode)
+        assert again.fallback_reasons == res.fallback_reasons
+
+
+class TestReplayThreshold:
+    def test_four_lane_group_runs_scalar(self, monkeypatch):
+        ctx = make_ctx()
+        lanes = scaled_lanes(ctx, factors=(0.5, 1.0, 1.5, 2.0))
+        res = evaluate_batch(lanes)
+        assert res.batched_lanes == 0
+        assert res.fallback_reasons == dict.fromkeys(range(4),
+                                                     "small_group")
+        monkeypatch.setattr(batched, "_MIN_REPLAY_LANES", 2)
+        replayed = evaluate_batch(lanes)
+        assert replayed.batched_lanes == 4
+        for scalar, timing in zip(res.timings, replayed.timings):
+            assert scalar.mode == "fastpath"
+            assert timing.mode == "batched"
+            assert scalar.op_times == timing.op_times
+            assert scalar.makespan == timing.makespan
+
+    def test_five_lane_group_replays(self):
+        lanes = scaled_lanes(make_ctx(),
+                             factors=(0.5, 1.0, 1.5, 2.0, 2.5))
+        res = evaluate_batch(lanes)
+        assert res.batched_lanes == 5
+        assert res.fallback_reasons == {}
+        assert all(t.mode == "batched" for t in res.timings)
 
 
 def storage_plan():

@@ -7,12 +7,15 @@ must be bit-identical to :func:`~repro.plan.fastpath.fastpath_schedule`
 on that lane alone.
 """
 
+from unittest import mock
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.plan import (
     FastPathUnsupported,
     PlanBuilder,
+    batched,
     evaluate_batch,
     fastpath_schedule,
 )
@@ -59,7 +62,11 @@ class TestDifferential:
                 scalar.append(fastpath_schedule(plan, ctx))
             except FastPathUnsupported:
                 assume(False)
-        res = evaluate_batch([(plan, ctx) for plan in plans])
+        # Replay every group, small ones included (a context manager,
+        # since hypothesis runs many examples per function-scoped
+        # fixture).
+        with mock.patch.object(batched, "_MIN_REPLAY_LANES", 2):
+            res = evaluate_batch([(plan, ctx) for plan in plans])
         for timing, expected in zip(res.timings, scalar):
             assert timing.op_times == expected.op_times
             assert timing.makespan == expected.makespan

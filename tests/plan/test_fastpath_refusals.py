@@ -164,11 +164,13 @@ class TestRefusalFallbacks:
 
 
 class TestBatchedFallback:
-    def test_refused_lanes_fall_back_inside_a_batch(self):
+    def test_refused_lanes_fall_back_inside_a_batch(self, monkeypatch):
         # The batched evaluator inherits the same contract: a group
         # whose reference recording refuses degrades lane-by-lane.
+        from repro.plan import batched
         from repro.plan.batched import evaluate_batch
 
+        monkeypatch.setattr(batched, "_MIN_REPLAY_LANES", 2)
         lanes = [(rendezvous_tie_plan(), make_ctx()) for _ in range(3)]
         result = evaluate_batch(lanes, fallback="auto")
         assert result.batched_lanes == 0

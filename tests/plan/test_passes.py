@@ -3,6 +3,7 @@
 import pytest
 
 from repro.devices.gpu import Precision
+from repro.fabric import NoRouteError
 from repro.plan import (
     Collective,
     PlanBuilder,
@@ -22,6 +23,9 @@ from repro.plan.passes import (
     PlanPass,
     resolve_passes,
 )
+from repro.plan.diff import diff_plans
+from repro.plan.passes import manager as manager_module
+from repro.plan.passes.chunking import DEFAULT_CHUNK_BYTES
 
 
 def _compute(b, rank, name, deps=()):
@@ -96,6 +100,53 @@ class TestPassManager:
     def test_rejects_non_pass(self):
         with pytest.raises(PassError, match="not a PlanPass"):
             PassManager(["bucketing"])
+
+
+class TestLazyPassDiff:
+    def _run(self, *passes):
+        manager = PassManager(list(passes))
+        manager.run(_ddp_like_plan())
+        return manager.reports
+
+    def test_diff_equals_eager_diff(self):
+        for report in self._run(GradientBucketing(cap_bytes=25e6),
+                                OverlapScheduling()):
+            assert report.diff == diff_plans(report.before, report.after)
+            assert report.diff is report.diff  # built once
+
+    def test_summary_and_changed(self):
+        # The values the eager diff gave before it was made lazy.
+        reports = self._run(*resolve_passes("all"))
+        assert [(r.summary(), r.changed) for r in reports] == [
+            ("bucketing: 20 -> 14 ops (+0 -6 ~4)", True),
+            ("overlap: 14 -> 14 ops (+0 -0 ~0)", False),
+            ("copy-fusion: 14 -> 14 ops (+0 -0 ~0)", False),
+            ("chunk-size: 14 -> 14 ops (+0 -0 ~2)", True),
+        ]
+        assert [(r.ops_before, r.ops_after) for r in reports] == \
+            [(20, 14), (14, 14), (14, 14), (14, 14)]
+
+    def test_building_a_job_never_diffs(self, monkeypatch):
+        from repro.core import ComposableSystem
+        from repro.plan import diff as diff_module
+        from repro.training import TrainingConfig, TrainingJob
+        from repro.workloads import get_benchmark
+
+        def refuse(a, b):
+            raise AssertionError("diff_plans called")
+
+        monkeypatch.setattr(diff_module, "diff_plans", refuse)
+        monkeypatch.setattr(manager_module, "diff_plans", refuse)
+        system = ComposableSystem()
+        active = system.configure("localGPUs")
+        cfg = TrainingConfig(benchmark=get_benchmark("resnet50"),
+                             global_batch=8, plan_passes="all")
+        job = TrainingJob(system.env, system.topology, system.host,
+                          list(active.gpus), active.storage, cfg)
+        assert [r.pass_name for r in job.pass_reports] \
+            == list(DEFAULT_PIPELINE)
+        with pytest.raises(AssertionError, match="diff_plans called"):
+            job.pass_reports[0].changed
 
 
 class TestResolvePasses:
@@ -373,12 +424,33 @@ class TestCollectiveChunkSizing:
     def test_unmeasurable_path_falls_back(self):
         class Broken:
             def path_bandwidth(self, src, dst):
-                raise KeyError(src)
+                raise NoRouteError(f"no route {src!r} -> {dst!r}")
 
         out = CollectiveChunkSizing().run(_one_collective_plan(),
                                           self._ctx(Broken()))
         for op in out:
             assert op.chunk_bytes == 8e6
+
+    def test_missing_route_on_real_topology_falls_back(self):
+        from repro.core import ComposableSystem
+
+        system = ComposableSystem()
+        ctx = PassContext(topology=system.topology,
+                          rank_nodes=["no-such-node", "nor-this-one"])
+        out = CollectiveChunkSizing().run(_one_collective_plan(), ctx)
+        for op in out:
+            assert op.chunk_bytes == DEFAULT_CHUNK_BYTES
+
+    @pytest.mark.parametrize("error", [KeyError, ValueError,
+                                       ZeroDivisionError])
+    def test_other_errors_propagate(self, error):
+        class Failing:
+            def path_bandwidth(self, src, dst):
+                raise error("measurement bug")
+
+        with pytest.raises(error, match="measurement bug"):
+            CollectiveChunkSizing().run(_one_collective_plan(),
+                                        self._ctx(Failing()))
 
     def test_already_annotated_plan_untouched(self):
         plan = CollectiveChunkSizing().run(_one_collective_plan(),
