@@ -177,10 +177,13 @@ def experiment_cell(benchmark: str, configuration: str,
     """
     train_kwargs = dict(sorted(train_kwargs.items()))
     if "plan_passes" in train_kwargs:
+        from ..plan.passes import PassError
         try:
             train_kwargs["plan_passes"] = _passes_spec(
                 train_kwargs["plan_passes"])
-        except Exception:
+        except (PassError, TypeError):
+            # An unknown pass name, a non-iterable spec, or a pass whose
+            # knobs ``vars()`` cannot read: not expressible as a cell.
             return None
     cell = {
         "kind": "experiment",

@@ -8,15 +8,21 @@ flows changes, affected rates are recomputed and the next completion is
 rescheduled — the classic event-driven fluid simulation used by
 flow-level network simulators.
 
+The timeline itself — the insertion-ordered live flows, their delivery
+updates, drain detection and the next-completion horizon — is
+:class:`FluidTimeline`.  It is the one copy of that arithmetic: the
+event-loop :class:`FlowScheduler` and the fast-path plan engine
+(:mod:`repro.plan.fastpath`) are thin adapters over it that differ only
+in how they schedule the horizon timer and announce completions.
+
 Rate assignment is **incremental** (:class:`~repro.fabric.maxmin.
 MaxMinSolver`): a flow add/remove/kill or a capacity change re-solves
 only the affected connected component of the contention graph, so a
 fleet of independent jobs sharing one scheduler stays O(component), not
 O(all flows), per event.  The batch water-filler
 (:func:`~repro.fabric.maxmin.water_fill`) is kept as the reference
-oracle — construct the scheduler with ``incremental=False`` to force
-full re-solves, or call :meth:`FlowScheduler.assert_rates_equivalent`
-to cross-check the incremental state at 1e-9.
+oracle: :meth:`FlowScheduler.assert_rates_equivalent` cross-checks the
+incremental state against it at 1e-9.
 
 This captures the two congestion phenomena the paper observes:
 
@@ -26,21 +32,20 @@ This captures the two congestion phenomena the paper observes:
   (separate links).
 
 Per-segment byte accounting is pushed into each link's directional
-counters on every scheduler update, so port ingress/egress rate series
+counters on every timeline advance, so port ingress/egress rate series
 (paper Fig. 12) are exact for piecewise-constant rates.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ..sim import Environment, Event
 from .link import Link
-from .maxmin import MaxMinSolver, apply_rates, water_fill
+from .maxmin import MaxMinSolver
 
-__all__ = ["FlowScheduler", "Flow", "Segment"]
+__all__ = ["FlowScheduler", "FluidTimeline", "Flow", "Segment"]
 
 #: Bytes below which a flow is considered drained (guards float error).
 _EPSILON_BYTES = 1e-6
@@ -83,21 +88,18 @@ def _link_keys(link: Link) -> tuple[tuple, tuple]:
     return ((link.id, link.a, link.b), (link.id, link.b, link.a))
 
 
-#: Fallback id source for flows constructed outside a scheduler (tests,
-#: ad-hoc solver experiments).  Scheduler-owned flows draw from the
-#: scheduler's own counter so runs are deterministic regardless of what
-#: other schedulers the process ran before.
-_flow_ids = itertools.count()
-
-
 class Flow:
-    """An active transfer streaming over a set of directed segments."""
+    """An active transfer streaming over a set of directed segments.
+
+    ``id`` is assigned by the scheduler's timeline when the flow starts.
+    """
 
     def __init__(self, segments: Sequence[Segment], nbytes: float,
-                 done: Event, label: str = "",
-                 flow_id: Optional[int] = None):
-        self.id = next(_flow_ids) if flow_id is None else flow_id
+                 done: Event, label: str = ""):
+        self.id = 0
         self.segments = tuple(segments)
+        #: Byte counters the timeline credits as the flow delivers.
+        self.counters = tuple(seg.counter for seg in self.segments)
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
         self.rate = 0.0
@@ -109,6 +111,73 @@ class Flow:
                 f"{self.remaining:.0f}/{self.nbytes:.0f}B @ {self.rate:.3g}B/s>")
 
 
+class FluidTimeline:
+    """Insertion-ordered live flows rated by one incremental solver.
+
+    A flow is anything with ``segments``, ``remaining``, ``rate`` and
+    ``counters`` (the byte counters to credit on delivery; an empty
+    tuple keeps the timeline from touching any device state).  Ids are
+    1-based and issued in arrival order.  The owner drives the update
+    order: :meth:`advance` to the event time, :meth:`add`/:meth:`remove`,
+    then ``solver.solve()`` and :meth:`horizon` to re-arm its timer.
+    """
+
+    __slots__ = ("flows", "solver", "last_update", "generation",
+                 "_last_id")
+
+    def __init__(self, now: float = 0.0):
+        #: id -> flow, in arrival order.
+        self.flows: dict = {}
+        self.solver = MaxMinSolver()
+        self.last_update = now
+        #: Bumped at every :meth:`horizon`; a timer armed under an older
+        #: generation has been superseded.
+        self.generation = 0
+        self._last_id = 0
+
+    def add(self, flow) -> int:
+        """Index a new flow; returns its id."""
+        self._last_id += 1
+        self.flows[self._last_id] = flow
+        self.solver.add(flow)
+        return self._last_id
+
+    def remove(self, flow_id: int):
+        """Drop and unindex a flow; returns it."""
+        flow = self.flows.pop(flow_id)
+        self.solver.remove(flow)
+        return flow
+
+    def advance(self, now: float) -> None:
+        """Deliver the bytes every flow accrued since the last update."""
+        dt = now - self.last_update
+        self.last_update = now
+        if dt <= 0:
+            return
+        for flow in self.flows.values():
+            delivered = min(flow.remaining, flow.rate * dt)
+            if delivered > 0:
+                flow.remaining -= delivered
+                for counter in flow.counters:
+                    counter.add(now, delivered)
+
+    def drained(self) -> list:
+        """Ids of the flows that have (numerically) finished, in order."""
+        return [fid for fid, flow in self.flows.items()
+                if flow.remaining <= _EPSILON_BYTES
+                or (flow.rate > 0
+                    and flow.remaining / flow.rate <= _EPSILON_SECONDS)]
+
+    def horizon(self) -> Optional[float]:
+        """Start a new timer generation; time to the next completion
+        under the current rates (``None`` with no live flows)."""
+        self.generation += 1
+        if not self.flows:
+            return None
+        return min(f.remaining / f.rate for f in self.flows.values()
+                   if f.rate > 0)
+
+
 class FlowScheduler:
     """Event-driven fluid simulation of concurrent transfers.
 
@@ -116,26 +185,17 @@ class FlowScheduler:
 
         done = scheduler.start_flow(segments, nbytes)
         yield done          # fires when the last byte is delivered
-
-    ``incremental=False`` keeps the per-link indexes but re-solves every
-    flow at every recompute — the batch oracle mode the equivalence
-    tests and the churn microbench compare against.
     """
 
-    def __init__(self, env: Environment, incremental: bool = True):
+    def __init__(self, env: Environment):
         self.env = env
-        self.incremental = incremental
-        self._flows: dict[int, Flow] = {}
-        self._ids = itertools.count()
-        self._solver = MaxMinSolver()
-        self._last_update = env.now
-        self._generation = 0
+        self._timeline = FluidTimeline(env.now)
         #: Completed flow count (introspection / tests).
         self.completed = 0
 
     @property
     def active_flows(self) -> list[Flow]:
-        return list(self._flows.values())
+        return list(self._timeline.flows.values())
 
     def poke(self, link: Optional[Link] = None) -> None:
         """Force an immediate rate recomputation.
@@ -146,11 +206,11 @@ class FlowScheduler:
         confines the re-solve to its contention component; with no
         argument every component is re-solved (unknown change).
         """
-        self._advance()
+        self._timeline.advance(self.env.now)
         if link is None:
-            self._solver.touch_all()
+            self._timeline.solver.touch_all()
         else:
-            self._solver.touch(*_link_keys(link))
+            self._timeline.solver.touch(*_link_keys(link))
         self._recompute()
 
     def kill_flows_on(self, link: Link, cause: Exception) -> int:
@@ -161,12 +221,12 @@ class FlowScheduler:
         number of flows killed.  Victims come from the per-link flow
         index — O(victims), not O(flows x segments).
         """
-        self._advance()
-        victims = sorted(self._solver.flows_on(*_link_keys(link)),
+        timeline = self._timeline
+        timeline.advance(self.env.now)
+        victims = sorted(timeline.solver.flows_on(*_link_keys(link)),
                          key=lambda flow: flow.id)
         for flow in victims:
-            del self._flows[flow.id]
-            self._solver.remove(flow)
+            timeline.remove(flow.id)
             flow.done.fail(cause)
         if victims:
             self._recompute()
@@ -190,56 +250,24 @@ class FlowScheduler:
             done.succeed(nbytes)
             self.completed += 1
             return done
-        flow = Flow(segments, nbytes, done, label,
-                    flow_id=next(self._ids))
-        self._advance()
-        self._flows[flow.id] = flow
-        self._solver.add(flow)
+        flow = Flow(segments, nbytes, done, label)
+        self._timeline.advance(self.env.now)
+        flow.id = self._timeline.add(flow)
         self._recompute()
         return done
 
     # -- equivalence oracle ------------------------------------------------
     def assert_rates_equivalent(self, rtol: float = 1e-9) -> None:
         """Cross-check current rates against batch water-filling."""
-        self._solver.assert_equivalent(rtol)
+        self._timeline.solver.assert_equivalent(rtol)
 
     # -- internals -------------------------------------------------------
-    def _advance(self) -> None:
-        """Deliver bytes accrued since the last update; account per link."""
-        now = self.env.now
-        dt = now - self._last_update
-        self._last_update = now
-        if dt <= 0:
-            return
-        for flow in self._flows.values():
-            delivered = min(flow.remaining, flow.rate * dt)
-            if delivered > 0:
-                flow.remaining -= delivered
-                for seg in flow.segments:
-                    seg.counter.add(now, delivered)
-
     def _recompute(self) -> None:
         """Complete drained flows, re-assign fair rates, re-arm the timer."""
-        self._complete_drained()
-        if self.incremental:
-            self._solver.solve()
-        else:
-            self._solver.solve_full()
-        self._arm_timer()
-
-    @staticmethod
-    def _assign_rates(flows: Iterable[Flow]) -> None:
-        """Batch progressive filling (the reference oracle, kept for
-        direct callers; see :func:`repro.fabric.maxmin.water_fill`)."""
-        apply_rates(flows)
-
-    def _complete_drained(self) -> None:
-        done_ids = [fid for fid, f in self._flows.items()
-                    if self._is_drained(f)]
+        timeline = self._timeline
         now = self.env.now
-        for fid in done_ids:
-            flow = self._flows.pop(fid)
-            self._solver.remove(flow)
+        for fid in timeline.drained():
+            flow = timeline.remove(fid)
             if flow.remaining > 0:
                 # Account the float-rounding residual so byte conservation
                 # holds exactly on the link counters.
@@ -248,25 +276,16 @@ class FlowScheduler:
                 flow.remaining = 0.0
             self.completed += 1
             flow.done.succeed(flow.nbytes)
-
-    @staticmethod
-    def _is_drained(flow: Flow) -> bool:
-        if flow.remaining <= _EPSILON_BYTES:
-            return True
-        return flow.rate > 0 and flow.remaining / flow.rate <= _EPSILON_SECONDS
-
-    def _arm_timer(self) -> None:
-        self._generation += 1
-        if not self._flows:
+        timeline.solver.solve()
+        horizon = timeline.horizon()
+        if horizon is None:
             return
-        gen = self._generation
-        horizon = min(f.remaining / f.rate for f in self._flows.values()
-                      if f.rate > 0)
+        gen = timeline.generation
         timer = self.env.timeout(horizon)
         timer.callbacks.append(lambda _evt: self._on_timer(gen))
 
     def _on_timer(self, generation: int) -> None:
-        if generation != self._generation:
+        if generation != self._timeline.generation:
             return  # superseded by a later recompute
-        self._advance()
+        self._timeline.advance(self.env.now)
         self._recompute()

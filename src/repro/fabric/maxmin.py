@@ -30,9 +30,10 @@ constant per frozen flow is order-independent.  The fast-path engine's
 
 A flow object is anything with a ``segments`` sequence (each segment
 exposing ``key`` — the hashable directed-capacity identity — and
-``capacity``) and a writable ``rate``; both the live
-:class:`~repro.fabric.flows.Flow` and the fast-path engine's duck-typed
-``_Flow`` qualify.
+``capacity``) and a writable ``rate``.  The one owner in the simulator
+is :class:`~repro.fabric.flows.FluidTimeline`, which both the event-loop
+``FlowScheduler`` and the fast-path plan engine run on; ``solve_full``
+(the batch-oracle re-solve) is kept for the churn microbench.
 """
 
 from __future__ import annotations

@@ -97,6 +97,7 @@ from .ir import (
     P2PCopy,
     StepPlan,
     StorageWrite,
+    collective_schedule,
 )
 
 __all__ = [
@@ -267,10 +268,8 @@ class _LaneResolver:
         if tag == _C_COLL:
             _tag, uid, n, src_spec, dst_spec, streamed = spec
             op = plan.op(uid)
-            if op.comm in ("allreduce", "reduce_scatter", "all_gather"):
-                per_transfer = op.bytes / n
-            else:
-                per_transfer = op.bytes
+            _phases, ring, _hops = collective_schedule(op.comm, n)
+            per_transfer = op.bytes / n if ring else op.bytes
             factor = self._factor(src_spec, dst_spec, op.chunk_bytes)
             nbytes = per_transfer * factor
             route = self._route(src_spec, dst_spec)

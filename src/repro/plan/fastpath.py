@@ -18,13 +18,15 @@ in the identical order:
 - compute kernels call the real ``GPU.kernel_time`` roofline and
   serialize on a per-rank stream cursor (the DES ``Resource`` FIFO);
 - collectives mirror the communicator's rendezvous (per-rank arrival
-  order assigns the op id), its ring/star phase schedules, and the real
+  order assigns the op id), run the hop schedule the communicator runs
+  (:func:`~repro.plan.ir.collective_schedule`), and apply the real
   ``Communicator._transport_factor`` byte inflation per route;
 - every transfer pays ``transfer_overhead + route.latency`` and then
-  streams through a single global fluid timeline that calls the real
-  ``FlowScheduler._assign_rates`` water-filling solver, advancing
-  deliveries with the same ``min(remaining, rate * dt)`` updates at the
-  same recompute points (every flow arrival, every completion horizon);
+  streams through one global
+  :class:`~repro.fabric.flows.FluidTimeline` — the class
+  ``FlowScheduler`` itself runs on — so deliveries, drains, rates and
+  horizons come from the same code at the same recompute points (every
+  flow arrival, every completion horizon);
 - storage I/O mirrors the queue-depth admission, fixed latency, and
   write-bandwidth byte inflation of ``StorageDevice``.
 
@@ -39,7 +41,8 @@ instant, a watchdog racing a completion), it refuses with
 The fast path is *pure*: it reads device specs, routes, and penalty
 tables but mutates no device state, link counter, or communicator
 sequence number, so it can be invoked any number of times on a live
-system without perturbing it.
+system without perturbing it.  Its flows carry no byte counters, so the
+shared timeline's advance credits nothing.
 
 Recording
 ---------
@@ -59,10 +62,10 @@ from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from ..fabric.flows import _EPSILON_BYTES as _EPS_BYTES
-from ..fabric.flows import _EPSILON_SECONDS as _EPS_SECONDS
-from ..fabric.maxmin import MaxMinSolver
+from ..fabric.flows import FluidTimeline
 from .executor import ExecutionContext, PlanExecution
 from .ir import (
+    COLLECTIVE_KINDS,
     Barrier,
     Collective,
     Compute,
@@ -74,6 +77,7 @@ from .ir import (
     StepPlan,
     StorageRead,
     StorageWrite,
+    collective_schedule,
 )
 
 __all__ = [
@@ -88,21 +92,6 @@ __all__ = [
 EQUIVALENCE_RTOL = 1e-9
 #: Absolute floor for comparisons of times at/near zero.
 EQUIVALENCE_ATOL = 1e-12
-
-#: Collective kind -> (schedule family, phase count fn of world size).
-_RING = {
-    "allreduce": lambda n: 2 * (n - 1),
-    "reduce_scatter": lambda n: n - 1,
-    "allgather": lambda n: n - 1,
-}
-#: Plan-IR collective names -> communicator kind strings.
-_COMM_KIND = {
-    "allreduce": "allreduce",
-    "reduce_scatter": "reduce_scatter",
-    "all_gather": "allgather",
-    "broadcast": "broadcast",
-    "reduce": "reduce",
-}
 
 
 class FastPathUnsupported(Exception):
@@ -261,9 +250,11 @@ class _Tape:
 # -- the engine --------------------------------------------------------------
 
 class _Flow:
-    """Duck-typed flow fed to the real ``FlowScheduler._assign_rates``."""
+    """A fluid-timeline flow that credits no link counter (``counters``
+    is empty), which keeps the engine pure."""
 
     __slots__ = ("segments", "remaining", "rate", "on_done")
+    counters = ()
 
     def __init__(self, segments, nbytes: float, on_done):
         self.segments = segments
@@ -276,8 +267,8 @@ class _Group:
     """One rendezvoused collective/barrier across its communicator."""
 
     __slots__ = ("kind", "nbytes", "root", "chunk", "arrived", "uids",
-                 "phase", "total_phases", "inflight", "nodes", "members",
-                 "regs", "done_regs")
+                 "phase", "total_phases", "hops", "per_hop", "inflight",
+                 "nodes", "members", "regs", "done_regs")
 
     def __init__(self, kind, nbytes, root, chunk, nodes, members):
         self.kind = kind
@@ -295,6 +286,8 @@ class _Group:
         self.done_regs = []     # this phase's flow-completion registers
         self.phase = 0
         self.total_phases = 0
+        self.hops = ()          # (src, dst) communicator-local indices
+        self.per_hop = 0.0      # bytes each hop carries, before transport
         self.inflight = 0
 
 
@@ -333,13 +326,8 @@ class _Engine:
         self._io_active = 0
         self._io_queue: list = []
         self._last_io_ready: Optional[float] = None
-        # Global fluid timeline (insertion-ordered, like FlowScheduler),
-        # rated by the same incremental component solver.
-        self._flows: dict = {}
-        self._flow_ids = 0
-        self._solver = MaxMinSolver()
-        self._last_update = 0.0
-        self._generation = 0
+        # The global fluid timeline: the same one FlowScheduler runs.
+        self._timeline = FluidTimeline()
         # Recording only: the registers behind the state above.
         self._dep_end_regs: dict = {}       # uid -> [end regs of deps]
         self._start_regs: dict = {}         # uid -> start reg
@@ -495,17 +483,13 @@ class _Engine:
         if isinstance(op, Barrier):
             spec = ("barrier", 0.0, None, None)
         else:
-            kind = _COMM_KIND.get(op.comm)
-            if kind is None:
+            if op.comm not in COLLECTIVE_KINDS:
                 raise FastPathUnsupported(
                     f"unknown collective kind {op.comm!r}")
-            if kind in ("broadcast", "reduce"):
-                # Communicator-local root index, like the executor's
-                # subgroup translation.
-                root = members.index(op.root) if op.root is not None else 0
-            else:
-                root = None
-            spec = (kind, op.bytes, root, op.chunk_bytes)
+            # Communicator-local root index, like the executor's
+            # subgroup translation (only rooted kinds read it).
+            root = members.index(op.root) if op.root is not None else 0
+            spec = (op.comm, op.bytes, root, op.chunk_bytes)
         opid = self._op_seq.get((gkey, rank), 0)
         self._op_seq[(gkey, rank)] = opid + 1
         group = self._groups.get((gkey, opid))
@@ -539,8 +523,9 @@ class _Engine:
             self._schedule(t, reg,
                            lambda now, r: self._group_done(group, now, r))
             return
-        phases = _RING.get(group.kind)
-        group.total_phases = phases(world) if phases else 1
+        group.total_phases, ring, group.hops = collective_schedule(
+            group.kind, world, group.root)
+        group.per_hop = group.nbytes / world if ring else group.nbytes
         group.phase = 0
         self._spawn_phase(group, t, reg)
 
@@ -548,18 +533,7 @@ class _Engine:
         comm = self.ctx.comm
         ranks = group.nodes
         n = len(ranks)
-        if group.kind in _RING:
-            per_transfer = group.nbytes / n
-            pairs = [(i, (i + 1) % n) for i in range(n)]
-        else:
-            per_transfer = group.nbytes
-            root = group.root
-            others = [i for i in range(n) if i != root]
-            if group.kind == "broadcast":
-                pairs = [(root, i) for i in others]
-            else:  # reduce
-                pairs = [(i, root) for i in others]
-        group.inflight = len(pairs)
+        group.inflight = len(group.hops)
         group.done_regs = []
         tape = self.tape
 
@@ -583,10 +557,10 @@ class _Engine:
 
         topo = comm.topology
         endpoints = col = None
-        for i, j in pairs:
+        for i, j in group.hops:
             route = topo.route(ranks[i], ranks[j])
             factor = comm._transport_factor(route, group.chunk)
-            nbytes = per_transfer * factor
+            nbytes = group.per_hop * factor
             if tape is not None:
                 endpoints = (("comm", group.members[i]),
                              ("comm", group.members[j]))
@@ -729,9 +703,10 @@ class _Engine:
         self._launch_transfer(t + latency, reg, route, nbytes, done,
                               endpoints, size_col)
 
-    # -- the global fluid timeline (FlowScheduler mirror) ------------------
+    # -- the global fluid timeline (FlowScheduler adapter) -----------------
     def _rates(self) -> tuple:
-        return tuple((fid, f.rate) for fid, f in self._flows.items())
+        return tuple((fid, f.rate)
+                     for fid, f in self._timeline.flows.items())
 
     def _flow_arrives(self, segments, nbytes: float, on_done, now: float,
                       reg: int, size_col: Optional[int],
@@ -751,70 +726,44 @@ class _Engine:
             tape.emit(_ORDER, self._update_reg, reg, False)
             if active:
                 tape.emit(_BOUND, reg, self._update_reg, active)
-        flow = _Flow(segments, nbytes, on_done)
-        self._advance(now)
-        self._flow_ids += 1
-        self._flows[self._flow_ids] = flow
-        self._solver.add(flow)
+        self._timeline.advance(now)
+        fid = self._timeline.add(_Flow(segments, nbytes, on_done))
         if tape is not None:
-            tape.n_flows = self._flow_ids
-            tape.flow_routes.append((self._flow_ids, route_use))
-            tape.emit(_FLOW, self._flow_ids, size_col)
+            tape.n_flows = fid
+            tape.flow_routes.append((fid, route_use))
+            tape.emit(_FLOW, fid, size_col)
         self._recompute(now, reg, active)
-
-    def _advance(self, now: float) -> None:
-        dt = now - self._last_update
-        self._last_update = now
-        if dt <= 0:
-            return
-        for flow in self._flows.values():
-            delivered = min(flow.remaining, flow.rate * dt)
-            if delivered > 0:
-                flow.remaining -= delivered
 
     def _recompute(self, now: float, reg: int,
                    active: Optional[tuple]) -> None:
         # Complete drained flows under the *current* rates, then
         # water-fill the affected components — the FlowScheduler update
-        # order, with the same incremental solver.  ``active`` holds the
-        # pre-event flow rates while recording.
-        drained = [fid for fid, f in self._flows.items()
-                   if self._is_drained(f)]
+        # order on the same timeline.  ``active`` holds the pre-event
+        # flow rates while recording.
+        timeline = self._timeline
+        drained = timeline.drained()
         tape = self.tape
         if tape is not None:
             # One instruction advances every active flow by the lane's
             # dt (including dt == 0) and checks the drain membership.
-            survivors = tuple((fid, f.rate) for fid, f in self._flows.items()
+            survivors = tuple((fid, f.rate)
+                              for fid, f in timeline.flows.items()
                               if fid not in drained)
             tape.emit(_RECOMP, self._update_reg, reg, active,
                       tuple(drained), survivors)
             self._update_reg = reg
         for fid in drained:
-            flow = self._flows.pop(fid)
-            self._solver.remove(flow)
-            self._schedule(now, reg, flow.on_done)
-        self._solver.solve()
-        self._arm_timer(now, reg)
-
-    @staticmethod
-    def _is_drained(flow: _Flow) -> bool:
-        if flow.remaining <= _EPS_BYTES:
-            return True
-        return flow.rate > 0 \
-            and flow.remaining / flow.rate <= _EPS_SECONDS
-
-    def _arm_timer(self, now: float, reg: int) -> None:
-        self._generation += 1
-        if not self._flows:
+            self._schedule(now, reg, timeline.remove(fid).on_done)
+        timeline.solver.solve()
+        horizon = timeline.horizon()
+        if horizon is None:
             return
-        gen = self._generation
-        horizon = min(f.remaining / f.rate for f in self._flows.values()
-                      if f.rate > 0)
+        gen = timeline.generation
         self._schedule(now + horizon, reg,
                        lambda t, r: self._on_timer(t, r, gen))
 
     def _on_timer(self, now: float, reg: int, generation: int) -> None:
-        if generation != self._generation:
+        if generation != self._timeline.generation:
             return  # superseded by a later recompute; never on the tape
         tape = self.tape
         active = None
@@ -827,7 +776,7 @@ class _Engine:
             active = self._rates()
             fmin, rmin, best = None, 0.0, None
             others = []
-            for fid, f in self._flows.items():
+            for fid, f in self._timeline.flows.items():
                 if f.rate <= 0:
                     continue
                 h = f.remaining / f.rate
@@ -840,7 +789,7 @@ class _Engine:
             reg = tape.reg()
             tape.emit(_TIMER, reg, self._update_reg, fmin, rmin,
                       tuple(others))
-        self._advance(now)
+        self._timeline.advance(now)
         self._recompute(now, reg, active)
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "Barrier",
     "Delay",
     "COLLECTIVE_KINDS",
+    "collective_schedule",
     "StepPlan",
     "PlanBuilder",
     "format_plan",
@@ -53,6 +54,42 @@ COLLECTIVE_KINDS = ("allreduce", "reduce_scatter", "all_gather",
 
 class PlanError(Exception):
     """Structural misuse while building or consuming a plan."""
+
+
+#: Plan-IR collective names -> the Communicator's kind strings.
+_COMMUNICATOR_KINDS = {"all_gather": "allgather"}
+
+
+def collective_schedule(kind: str, n: int,
+                        root: Optional[int] = None) -> tuple:
+    """The hop schedule of one collective over ``n`` communicator ranks.
+
+    ``kind`` is a plan-IR name (``"all_gather"``) or a communicator name
+    (``"allgather"``); ``root`` is a communicator-local index (``None``
+    means 0) and only matters for broadcast and reduce.  Returns
+    ``(phases, ring, hops)``: the collective runs ``phases`` rounds, and
+    each round launches one transfer per ``(src, dst)`` index pair of
+    ``hops`` concurrently.  Ring kinds (``ring`` true) send ``nbytes / n``
+    per hop to the ring successor; broadcast and reduce move the whole
+    ``nbytes`` out of or into the root in a single round.
+
+    This is the one hop schedule: the communicator, the fast path, the
+    batched replay, the profiler and the chunk-sizing pass all read it.
+    """
+    kind = _COMMUNICATOR_KINDS.get(kind, kind)
+    if kind == "allreduce":
+        phases = 2 * (n - 1)
+    elif kind in ("reduce_scatter", "allgather"):
+        phases = n - 1
+    elif kind in ("broadcast", "reduce"):
+        root = root or 0
+        others = [i for i in range(n) if i != root]
+        if kind == "broadcast":
+            return 1, False, tuple((root, i) for i in others)
+        return 1, False, tuple((i, root) for i in others)
+    else:
+        raise PlanError(f"unknown collective kind {kind!r}")
+    return phases, True, tuple((i, (i + 1) % n) for i in range(n))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ...fabric.topology import NoRouteError
-from ..ir import Barrier, Collective, StepPlan
+from ..ir import Barrier, Collective, StepPlan, collective_schedule
 from .manager import PassContext, PassError, PlanPass
 
 __all__ = ["CollectiveChunkSizing", "DEFAULT_CHUNK_BYTES"]
@@ -39,10 +39,6 @@ DEFAULT_CHUNK_BYTES = 8e6
 _TARGET_SECONDS = 1e-3
 _MIN_CHUNK = 1e6
 _MAX_CHUNK = 64e6
-
-#: Collectives scheduled as neighbour-to-neighbour rings.
-_RING_KINDS = frozenset({"allreduce", "reduce_scatter", "all_gather"})
-
 
 class CollectiveChunkSizing(PlanPass):
     """Annotate collectives with bandwidth-derived staging chunk sizes."""
@@ -74,16 +70,12 @@ class CollectiveChunkSizing(PlanPass):
             root_idx = op.root or 0
         if len(nodes) < 2:
             return 0.0
-        if op.comm in _RING_KINDS:
-            pairs = [(nodes[i], nodes[(i + 1) % len(nodes)])
-                     for i in range(len(nodes))]
-        else:
-            root = nodes[root_idx]
-            pairs = [(root, n) for n in nodes if n != root]
+        _phases, _ring, hops = collective_schedule(op.comm, len(nodes),
+                                                   root_idx)
         bw = []
-        for src, dst in pairs:
+        for i, j in hops:
             try:
-                bw.append(topo.path_bandwidth(src, dst))
+                bw.append(topo.path_bandwidth(nodes[i], nodes[j]))
             except NoRouteError:
                 return 0.0
         return min(bw) if bw else 0.0

@@ -48,8 +48,6 @@ from typing import Optional
 
 from ..plan.executor import ExecutionContext
 from ..plan.fastpath import (
-    _COMM_KIND,
-    _RING,
     FastPathUnsupported,
     PlanTiming,
     _Engine,
@@ -66,6 +64,7 @@ from ..plan.ir import (
     StepPlan,
     StorageRead,
     StorageWrite,
+    collective_schedule,
 )
 
 __all__ = [
@@ -566,6 +565,21 @@ def _interval_stats(intervals, window) -> dict:
             "contended_s": contended, "intervals": len(events) // 2}
 
 
+def _group_hops(ranks, member_idx, kind: str, root) -> tuple:
+    """``(phases, hops)`` of one collective over its member ranks.
+
+    ``member_idx`` are the participating world ranks in communicator
+    order and ``root`` a world rank (``None`` = the first member); hops
+    come back as ``(src, dst)`` topology node pairs.
+    """
+    member_idx = list(member_idx)
+    local_root = member_idx.index(root) if root is not None else None
+    phases, _ring, hops = collective_schedule(kind, len(member_idx),
+                                              local_root)
+    return phases, [(ranks[member_idx[i]], ranks[member_idx[j]])
+                    for i, j in hops]
+
+
 def utilization(plan: StepPlan, timing, ctx: Optional[ExecutionContext]
                 = None, window: Optional[tuple] = None) -> dict:
     """Per-resource busy intervals: GPU streams, directed fabric links,
@@ -599,22 +613,15 @@ def utilization(plan: StepPlan, timing, ctx: Optional[ExecutionContext]
             mark("storage", start, end)
     if ctx is not None and ctx.comm is not None \
             and ctx.topology is not None:
-        ranks = ctx.comm.ranks
-        n = ctx.comm.world_size
         for group in groups:
-            if group.barrier or group.nbytes <= 0 or n < 2 \
+            member_idx = range(ctx.comm.world_size) if group.group is None \
+                else group.group
+            if group.barrier or group.nbytes <= 0 or len(member_idx) < 2 \
                     or group.end <= group.live:
                 continue
-            kind = _COMM_KIND.get(group.kind, group.kind)
-            if kind in _RING:
-                pairs = [(ranks[i], ranks[(i + 1) % n]) for i in range(n)]
-            else:
-                root = group.root or 0
-                others = [i for i in range(n) if i != root]
-                pairs = [(ranks[root], ranks[i]) for i in others] \
-                    if kind == "broadcast" \
-                    else [(ranks[i], ranks[root]) for i in others]
-            for src, dst in pairs:
+            _phases, hops = _group_hops(ctx.comm.ranks, member_idx,
+                                        group.kind, group.root)
+            for src, dst in hops:
                 for seg in ctx.topology.route(src, dst).segments:
                     mark(f"link:{seg.src}->{seg.dst}",
                          group.live, group.end)
@@ -835,25 +842,12 @@ class _DurationModel:
             return measured
         if self.factor == 0.0:
             return 0.0  # the engines short-circuit zero-byte groups
-        topo = self.ctx.topology
-        kind = _COMM_KIND.get(rep.comm, rep.comm)
-        phases = _RING[kind](n) if kind in _RING else 1
-        all_ranks = self.ctx.comm.ranks if self.ctx.comm is not None \
-            else None
-        if all_ranks is None:
+        if self.ctx.comm is None:
             return measured
-        ranks = [all_ranks[i] for i in member_idx]
-        if kind in _RING:
-            pairs = [(ranks[i], ranks[(i + 1) % n])
-                     for i in range(n)]
-        else:
-            root = member_idx.index(rep.root) if rep.root is not None \
-                else 0
-            others = [i for i in range(n) if i != root]
-            pairs = [(ranks[root], ranks[i]) for i in others] \
-                if kind == "broadcast" \
-                else [(ranks[i], ranks[root]) for i in others]
-        lat = max((topo.route(s, d).latency for s, d in pairs),
+        topo = self.ctx.topology
+        phases, hops = _group_hops(self.ctx.comm.ranks, member_idx,
+                                   rep.comm, rep.root)
+        lat = max((topo.route(s, d).latency for s, d in hops),
                   default=0.0)
         return self._scaled_fixed(measured,
                                   phases * (topo.transfer_overhead + lat))

@@ -29,6 +29,7 @@ from typing import Optional
 from ..sim import Environment, Event
 from ..fabric.link import Protocol
 from ..fabric.topology import Route, Topology
+from ..plan.ir import collective_schedule
 from ..telemetry.trace import NULL_TRACER, Category, Tracer, Track
 
 __all__ = ["Communicator", "CollectiveError", "CollectiveTimeout",
@@ -283,26 +284,8 @@ class Communicator:
         try:
             if self.world_size == 1 or op.kind == "barrier" or op.nbytes == 0:
                 yield self.env.timeout(0.0)
-            elif op.kind == "allreduce":
-                yield from self._ring_phases(op.nbytes,
-                                             2 * (self.world_size - 1),
-                                             track, op.chunk_bytes)
-            elif op.kind == "reduce_scatter":
-                yield from self._ring_phases(op.nbytes, self.world_size - 1,
-                                             track, op.chunk_bytes)
-            elif op.kind == "allgather":
-                yield from self._ring_phases(op.nbytes, self.world_size - 1,
-                                             track, op.chunk_bytes)
-            elif op.kind == "broadcast":
-                yield from self._star(op.root, op.nbytes, outbound=True,
-                                      track=track,
-                                      chunk_bytes=op.chunk_bytes)
-            elif op.kind == "reduce":
-                yield from self._star(op.root, op.nbytes, outbound=False,
-                                      track=track,
-                                      chunk_bytes=op.chunk_bytes)
-            else:  # pragma: no cover - guarded by _join
-                raise CollectiveError(f"unknown collective {op.kind!r}")
+            else:
+                yield from self._phases(op, track)
         except Exception as exc:
             span.close(failed=True)
             self.tracer.release_lane(track)
@@ -385,44 +368,34 @@ class Communicator:
                                         chunk_bytes)
         return self.topology.transfer(src, dst, nbytes * factor, label)
 
-    def _ring_phases(self, nbytes: float, phases: int,
-                     track: Track = None,
-                     chunk_bytes: Optional[float] = None):
-        """Ring schedule: ``phases`` rounds of chunk sends to the neighbour.
+    def _phases(self, op: _PendingOp, track: Track = None):
+        """Run the collective's hop schedule, one round at a time.
 
-        Each round, every rank sends ``nbytes / world_size`` to its ring
-        successor concurrently; the round completes when the slowest hop
-        (the bottleneck link, possibly contended) finishes.
+        Ring kinds: every round, each rank sends ``nbytes / world_size``
+        to its ring successor concurrently; the round completes when the
+        slowest hop (the bottleneck link, possibly contended) finishes.
+        Broadcast/reduce: one star round in which the root sends to (or
+        receives from) every other rank; the root's links are the
+        natural bottleneck.
         """
-        chunk = nbytes / self.world_size
         n = self.world_size
+        phases, ring, hops = collective_schedule(op.kind, n, op.root)
+        per_hop = op.nbytes / n if ring else op.nbytes
         for phase in range(phases):
-            with self.tracer.span("round", Category.COMM, track,
-                                  phase=phase, chunk_bytes=chunk):
+            if ring:
+                span = self.tracer.span("round", Category.COMM, track,
+                                        phase=phase, chunk_bytes=per_hop)
+            else:
+                span = self.tracer.span(
+                    "fan-out" if op.kind == "broadcast" else "fan-in",
+                    Category.COMM, track, bytes=op.nbytes)
+            with span:
                 transfers = [
-                    self._send(self.ranks[i], self.ranks[(i + 1) % n],
-                               chunk, "ring", chunk_bytes)
-                    for i in range(n)
+                    self._send(self.ranks[i], self.ranks[j], per_hop,
+                               "ring" if ring else "star", op.chunk_bytes)
+                    for i, j in hops
                 ]
                 yield self.env.all_of(transfers)
-
-    def _star(self, root: int, nbytes: float, outbound: bool,
-              track: Track = None,
-              chunk_bytes: Optional[float] = None):
-        """Star schedule: root simultaneously sends to (or receives from)
-        every other rank; the root's links are the natural bottleneck."""
-        others = [i for i in range(self.world_size) if i != root]
-        with self.tracer.span("fan-out" if outbound else "fan-in",
-                              Category.COMM, track, bytes=nbytes):
-            transfers = []
-            for i in others:
-                if outbound:
-                    src, dst = self.ranks[root], self.ranks[i]
-                else:
-                    src, dst = self.ranks[i], self.ranks[root]
-                transfers.append(
-                    self._send(src, dst, nbytes, "star", chunk_bytes))
-            yield self.env.all_of(transfers)
 
     # -- analytics ------------------------------------------------------------
     def allreduce_bytes_on_wire(self, nbytes: float) -> float:

@@ -77,6 +77,20 @@ class TestKeying:
     def test_unresolvable_passes_disable_the_cell(self):
         assert cheap_cell(plan_passes="no-such-pass") is None
 
+    def test_non_iterable_pass_spec_disables_the_cell(self):
+        assert cheap_cell(plan_passes=42) is None
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyError, ValueError])
+    def test_other_pass_spec_errors_propagate(self, monkeypatch, error):
+        import repro.plan.passes as passes
+
+        def broken(spec):
+            raise error("pass spec blew up")
+
+        monkeypatch.setattr(passes, "passes_to_spec", broken)
+        with pytest.raises(error, match="blew up"):
+            cheap_cell(plan_passes="all")
+
     def test_key_changes_with_repro_version(self, monkeypatch):
         import repro
         cache = ResultCache("/tmp/unused")

@@ -315,7 +315,7 @@ def _make_link(bw_gbps, a, b):
 )
 def test_property_scheduler_equivalence_and_byte_conservation(jobs, bws):
     env = Environment()
-    sched = FlowScheduler(env, incremental=True)
+    sched = FlowScheduler(env)
     links = [_make_link(bw, f"n{i}", f"n{i + 1}")
              for i, bw in enumerate(bws)]
 

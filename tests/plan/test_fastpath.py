@@ -189,6 +189,34 @@ class TestEquivalence:
         evaluate_plan(b.build(), ctx, assert_equivalence=True)
 
 
+class TestPurity:
+    """The fast path shares the DES fluid timeline but credits no link
+    counter and never advances the live clock."""
+
+    @staticmethod
+    def _state(ctx):
+        return ctx.env.now, {
+            (link.id, direction): counter.total
+            for link in ctx.topology.links()
+            for direction, counter in link.counters.items()}
+
+    def test_fastpath_and_batch_leave_a_live_system_untouched(self):
+        from repro.plan import evaluate_batch
+
+        ctx = make_ctx()
+        plan = taxonomy_plan()
+        # Make the system live: the executor advances the clock and
+        # fills the link counters the fast path must not touch.
+        _executor_timing(plan, ctx)
+        before = self._state(ctx)
+        assert before[0] > 0.0
+        assert any(total > 0 for total in before[1].values())
+        fastpath_schedule(plan, ctx)
+        result = evaluate_batch([(plan, ctx)] * 6)
+        assert result.batched_lanes > 0
+        assert self._state(ctx) == before
+
+
 class TestRefusals:
     def test_same_rank_compute_tie(self):
         ctx = make_ctx(world=1)

@@ -167,6 +167,30 @@ class TestGroupedExecution:
         assert timing.makespan > 0.0
 
 
+_ROOTED_CASES = [(comm, group, root)
+                 for comm in ("broadcast", "reduce")
+                 for group in ((1, 2, 3), (0, 2, 3))
+                 for root in group]
+
+
+@pytest.mark.parametrize("comm,group,root", _ROOTED_CASES)
+def test_rooted_group_collective_every_root_matches_executor(comm, group,
+                                                             root):
+    # The root is a world rank; both engines must translate it to the
+    # same group-local hop schedule, whichever member it is.
+    _system, ctx = make_ctx(world=4)
+    b = PlanBuilder("rooted", world_size=4)
+    for rank in range(4):
+        f = _compute(b, rank, "fwd")
+        if rank in group:
+            b.collective(rank, "c", comm, 8e6, root=root, group=group,
+                         deps=[f])
+    timing = evaluate_plan(b.build(), ctx, assert_equivalence=True)
+    assert timing.mode == "fastpath"
+    assert timing.op_times[f"r{root}:c"][1] > timing.op_times[
+        f"r{root}:fwd"][1]
+
+
 # -- validator ---------------------------------------------------------------
 
 class TestGroupValidation:

@@ -11,6 +11,7 @@ from repro.plan import (
     StepPlan,
     format_plan,
 )
+from repro.plan.ir import collective_schedule
 
 
 def _compute(b, rank, name, deps=()):
@@ -129,3 +130,49 @@ class TestFormatPlan:
         _compute(b, 1, "forward")
         text = format_plan(b.build(), ranks=[1])
         assert "rank 1:" in text and "rank 0:" not in text
+
+
+class TestCollectiveSchedule:
+    # (kind, n, root) -> (phases, ring, hops), written out by hand.
+    TABLE = [
+        ("allreduce", 1, None, (0, True, ((0, 0),))),
+        ("allreduce", 2, None, (2, True, ((0, 1), (1, 0)))),
+        ("allreduce", 3, None, (4, True, ((0, 1), (1, 2), (2, 0)))),
+        ("allreduce", 4, None,
+         (6, True, ((0, 1), (1, 2), (2, 3), (3, 0)))),
+        ("reduce_scatter", 1, None, (0, True, ((0, 0),))),
+        ("reduce_scatter", 3, None, (2, True, ((0, 1), (1, 2), (2, 0)))),
+        ("all_gather", 2, None, (1, True, ((0, 1), (1, 0)))),
+        ("all_gather", 4, None,
+         (3, True, ((0, 1), (1, 2), (2, 3), (3, 0)))),
+        ("broadcast", 1, None, (1, False, ())),
+        ("broadcast", 2, None, (1, False, ((0, 1),))),
+        ("broadcast", 3, 2, (1, False, ((2, 0), (2, 1)))),
+        ("broadcast", 4, 1, (1, False, ((1, 0), (1, 2), (1, 3)))),
+        ("reduce", 1, 0, (1, False, ())),
+        ("reduce", 2, 1, (1, False, ((0, 1),))),
+        ("reduce", 3, None, (1, False, ((1, 0), (2, 0)))),
+        ("reduce", 4, 3, (1, False, ((0, 3), (1, 3), (2, 3)))),
+    ]
+
+    @pytest.mark.parametrize("kind,n,root,want", TABLE)
+    def test_table(self, kind, n, root, want):
+        assert collective_schedule(kind, n, root) == want
+
+    @pytest.mark.parametrize("ir_name,comm_name", [
+        ("all_gather", "allgather"),
+        ("allreduce", "allreduce"),
+        ("reduce_scatter", "reduce_scatter"),
+        ("broadcast", "broadcast"),
+        ("reduce", "reduce"),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ir_and_communicator_names_agree(self, ir_name, comm_name, n):
+        root = n - 1
+        assert collective_schedule(ir_name, n, root) == \
+            collective_schedule(comm_name, n, root)
+
+    @pytest.mark.parametrize("kind", ["all_to_all", "barrier", ""])
+    def test_unknown_kind_raises(self, kind):
+        with pytest.raises(PlanError, match="unknown collective kind"):
+            collective_schedule(kind, 4)

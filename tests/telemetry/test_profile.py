@@ -146,6 +146,33 @@ class TestUtilizationAndImbalance:
             assert 0.0 <= stats["busy_frac"] <= 1.0 + 1e-9
             assert stats["contended_s"] >= 0.0
 
+    @pytest.mark.parametrize("comm,group,root,hops", [
+        ("allreduce", (0, 1), None, [(0, 1), (1, 0)]),
+        ("all_gather", (1, 2, 3), None, [(1, 2), (2, 3), (3, 1)]),
+        ("broadcast", (1, 2, 3), 3, [(3, 1), (3, 2)]),
+        ("reduce", (0, 2), 2, [(0, 2)]),
+    ])
+    def test_subgroup_collective_marks_only_member_hops(
+            self, comm, group, root, hops):
+        # A grouped collective rings/stars over its members with a
+        # group-local root; links between non-members stay idle.
+        world = 4
+        b = PlanBuilder("grouped", world_size=world)
+        for rank in range(world):
+            f = _compute(b, rank, "fwd")
+            if rank in group:
+                b.collective(rank, "c", comm, 16e6, root=root,
+                             group=group, deps=[f])
+        plan = b.build()
+        ctx = make_ctx(world=world)
+        util = utilization(plan, fastpath_schedule(plan, ctx), ctx=ctx)
+        nodes = ctx.comm.ranks
+        want = {f"link:{seg.src}->{seg.dst}"
+                for i, j in hops
+                for seg in ctx.topology.route(nodes[i], nodes[j]).segments}
+        assert want
+        assert {name for name in util if name.startswith("link:")} == want
+
     def test_imbalance_symmetric_plan(self):
         plan = step_plan()
         ctx = make_ctx()
